@@ -176,17 +176,16 @@ def _bench_matrix(workloads, designs, scale, accesses, seed, jobs):
 def _hotpath_breakdown(ctrl, sim, trace, workload, design):
     """One untimed batched run with the controller entry points wrapped.
 
-    Attributes wall time to the deferred fast path (classification plus
-    batched replay) versus the scalar ``access`` fallback, and reports
-    the full-run :class:`AccessCase` counts plus the per-reason decline
+    Attributes wall time to the deferred fast path (serve plus batched
+    replay) versus the scalar ``access`` fallback, and reports the
+    full-run :class:`AccessCase` counts plus the per-reason decline
     counters — so a hot-path regression is attributable to a specific
     case mix shift, a fallback-rate change, or one decline reason.
 
-    Controllers that export an inlined server closure
-    (``make_deferred_server``) bypass ``access_deferred`` /
-    ``access_batch`` entirely, so the factory itself is wrapped: the
-    serve/batch closures it returns are timed the same way the bound
-    methods are.
+    The simulator drives every batching controller (Baryon and
+    ``simple`` alike) through one contract, the ``(serve, flush,
+    replay)`` triple from ``make_deferred_server()``, so only that
+    factory is wrapped: the serve/replay closures it returns are timed.
     """
     from time import perf_counter
 
@@ -208,54 +207,31 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
     # lookups bind the wrappers without any simulator-side hooks.
     ctrl.access = timed_access
     if getattr(ctrl, "supports_batching", False):
-        real_deferred = ctrl.access_deferred
-        real_batch = ctrl.access_batch
+        real_make_server = ctrl.make_deferred_server
 
-        def timed_deferred(addr, is_write):
-            t0 = perf_counter()
-            op = real_deferred(addr, is_write)
-            acc["deferred_s"] += perf_counter() - t0
-            if op is None:
-                acc["deferred_declined"] += 1
-            else:
-                acc["deferred_ops"] += 1
-            return op
+        def timed_make_server():
+            serve, flush, replay = real_make_server()
 
-        def timed_batch(ops, cycles, mlp):
-            t0 = perf_counter()
-            out = real_batch(ops, cycles, mlp)
-            acc["batch_s"] += perf_counter() - t0
-            acc["batch_flushes"] += 1
-            return out
+            def timed_serve(addr, is_write):
+                t0 = perf_counter()
+                op = serve(addr, is_write)
+                acc["deferred_s"] += perf_counter() - t0
+                if op is None:
+                    acc["deferred_declined"] += 1
+                else:
+                    acc["deferred_ops"] += 1
+                return op
 
-        ctrl.access_deferred = timed_deferred
-        ctrl.access_batch = timed_batch
+            def timed_replay(ops, cycles, mlp):
+                t0 = perf_counter()
+                out = replay(ops, cycles, mlp)
+                acc["batch_s"] += perf_counter() - t0
+                acc["batch_flushes"] += 1
+                return out
 
-        real_make_server = getattr(ctrl, "make_deferred_server", None)
-        if real_make_server is not None:
-            def timed_make_server(dirty_blocks=None):
-                serve, flush, batch = real_make_server(dirty_blocks)
+            return timed_serve, flush, timed_replay
 
-                def timed_serve(addr, is_write, code, aux):
-                    t0 = perf_counter()
-                    op = serve(addr, is_write, code, aux)
-                    acc["deferred_s"] += perf_counter() - t0
-                    if op is None:
-                        acc["deferred_declined"] += 1
-                    else:
-                        acc["deferred_ops"] += 1
-                    return op
-
-                def timed_server_batch(ops, cycles, mlp):
-                    t0 = perf_counter()
-                    out = batch(ops, cycles, mlp)
-                    acc["batch_s"] += perf_counter() - t0
-                    acc["batch_flushes"] += 1
-                    return out
-
-                return timed_serve, flush, timed_server_batch
-
-            ctrl.make_deferred_server = timed_make_server
+        ctrl.make_deferred_server = timed_make_server
     decline_base = dict(getattr(ctrl, "deferred_declines", None) or {})
     sim.run(trace, workload, design)
     cases = {
@@ -264,8 +240,7 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
         if key.startswith("case_")
     }
     # Authoritative decline accounting: the controller's per-reason
-    # counters see every decline — serve()-time ones and the
-    # pre-resolved classifier verdicts that never reach serve().
+    # counters, where it keeps them.
     decline_counters = getattr(ctrl, "deferred_declines", None)
     if decline_counters is not None:
         decline_reasons = {

@@ -280,8 +280,8 @@ def build_validate_parser() -> argparse.ArgumentParser:
                         help="trace records per fuzz iteration (default 600)")
     parser.add_argument("--fuzz-batched", action="store_true",
                         help="additionally cross-check every fuzz case "
-                        "across the controller's deferred-batch seam "
-                        "(access_deferred/access_batch vs scalar access; "
+                        "through the controllers' deferred server "
+                        "(make_deferred_server vs scalar access; "
                         "fault injection off, oracle on)")
     parser.add_argument("--minimize", action="store_true",
                         help="delta-debug any fuzzer-found failure before "
@@ -347,9 +347,8 @@ def cmd_validate(argv) -> int:
         )
         stats = report.stats
         batched_note = (
-            f", {report.stats.get('fuzz_batched_checks')} batched-seam + "
-            f"{report.stats.get('fuzz_classifier_checks')} classifier + "
-            f"{report.stats.get('fuzz_simple_checks')} simple-seam check(s)"
+            f", {report.stats.get('fuzz_batched_checks')} batched-seam check(s)"
+            f" + {report.stats.get('fuzz_simple_checks')} simple-seam check(s)"
             if args.fuzz_batched else ""
         )
         print(f"fuzz: {report.iterations} iterations, {report.accesses} "
@@ -688,7 +687,7 @@ def _print_deferred_declines(controller) -> None:
     """Per-reason deferred-seam decline table (``repro report``).
 
     The counters live on the controller (not in ``stats``: only the
-    batched path classifies, and stats must stay bit-identical across
+    batched path declines, and stats must stay bit-identical across
     loops). All-zero with per-access tracing attached simply means the
     seam never engaged.
     """

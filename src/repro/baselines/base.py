@@ -22,9 +22,9 @@ class BaselineController(abc.ABC):
 
     name = "baseline"
 
-    #: May the simulator drive this controller through the deferred batch
-    #: fast path (``access_deferred`` + ``access_batch``)? Baselines are
-    #: scalar-only unless they implement the pair and shadow this.
+    #: May the simulator drive this controller through the deferred
+    #: ``(serve, flush, replay)`` triple from ``make_deferred_server()``?
+    #: Baselines are scalar-only unless they implement it and shadow this.
     supports_batching = False
 
     def __init__(

@@ -18,6 +18,10 @@ from repro.metadata.remap_cache import RemapCache
 _COMMIT_HIT_KEY = CASE_COUNTER_KEYS[AccessCase.COMMIT_HIT]
 
 
+def _no_flush() -> None:
+    return None
+
+
 class SimpleCache(BaselineController):
     """Plain block-grain DRAM cache of the slow memory."""
 
@@ -35,8 +39,8 @@ class SimpleCache(BaselineController):
             ways=self.config.remap_cache.ways,
             latency_cycles=self.config.remap_cache.latency_cycles,
         )
-        #: Deferred-classification decline counters (see the Baryon
-        #: controller's attribute of the same name). The only scalar-path
+        #: Deferred-server decline counters (see the Baryon controller's
+        #: attribute of the same name). The only scalar-path
         #: case here is the whole-block fill with its eviction.
         self.deferred_declines: Dict[str, int] = {"block_fill": 0}
 
@@ -99,9 +103,18 @@ class SimpleCache(BaselineController):
     @property
     def supports_batching(self) -> bool:
         """Hits mutate no clock-dependent state (the LRU stamp and the
-        remap-cache fill are trace-order effects), so the deferred seam
+        remap-cache fill are trace-order effects), so the deferred server
         applies whenever per-access event tracing is off."""
         return not self.obs.enabled
+
+    def make_deferred_server(self):
+        """The ``(serve, flush, replay)`` deferred contract (see
+        :meth:`repro.core.controller.BaryonController.make_deferred_server`).
+
+        :meth:`access_deferred` serves and :meth:`access_batch` replays;
+        every counter is applied per op, so there is nothing to flush.
+        """
+        return self.access_deferred, _no_flush, self.access_batch
 
     def access_deferred(self, addr: int, is_write: bool = False):
         """Serve one block hit eagerly; defer its channel timing.

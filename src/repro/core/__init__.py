@@ -11,13 +11,11 @@ The package composes the substrates into the paper's architecture:
   organized as hybrid sets of fast block spaces;
 * :class:`~repro.core.controller.BaryonController` — the access flow of
   Fig. 6 (cases 1-5), slow-to-stage prefetching, cacheline-aligned
-  transfers, flat-scheme swapping and compressed writeback;
-* :class:`~repro.core.columnar.ColumnarState` — the columnar (structured
-  numpy array) mirror of the controller metadata plus the O(1) probe
-  indices behind the deferred batch fast path.
+  transfers, flat-scheme swapping and compressed writeback, plus the
+  deferred server (``make_deferred_server``) the batched simulator loop
+  drives.
 """
 
-from repro.core.columnar import ColumnarState
 from repro.core.commit import CommitDecision, CommitPolicy
 from repro.core.controller import BaryonController
 from repro.core.events import AccessCase, AccessResult
@@ -28,7 +26,6 @@ __all__ = [
     "AccessCase",
     "AccessResult",
     "BaryonController",
-    "ColumnarState",
     "CommitDecision",
     "CommitPolicy",
     "FastArea",

@@ -63,7 +63,7 @@ class _RecordingPool:
     runs :meth:`BaryonController._fetch_and_stage` eagerly (cases 3/5):
     every state decision in that tree is clock-free, so the captured
     ``(pool, nbytes, priority)`` sequence replays bit-identically at the
-    op's exact clock inside :meth:`BaryonController.access_batch`. The
+    op's exact clock inside the server's ``replay`` closure. The
     zero return keeps callers' latency arithmetic inert — the real
     latency is recomputed from the replayed transfers.
     """
@@ -206,16 +206,8 @@ class BaryonController:
                 self.checker = ShadowChecker(pointer_bits=pointer_bits)
                 self.remap_table.shadow = self.checker
 
-        # Columnar mirror of the metadata state (numpy structured arrays
-        # plus the O(1) probe indices the deferred batch fast path
-        # classifies with). Created after the resilience layer so it
-        # chains in front of any existing remap-table shadow observer.
-        from repro.core.columnar import ColumnarState
-
-        self.columnar = ColumnarState(self)
-
-        # Cached constants for the deferred fast path (access_deferred /
-        # access_batch); all are invariant after construction.
+        # Cached constants for the deferred server (make_deferred_server);
+        # all are invariant after construction.
         self._stage_on = self.config.stage.enabled
         self._g_sub_per_block = g.sub_blocks_per_block
         self._cl_size = g.cacheline_size
@@ -236,10 +228,10 @@ class BaryonController:
         self._idx_fast_home = AccessCase.FAST_HOME.index
         self._idx_slow_direct = AccessCase.SLOW_DIRECT.index
 
-        # Per-reason deferred-classification decline counters. Kept out of
+        # Per-reason deferred-server decline counters. Kept out of
         # ``stats`` deliberately: the scalar and batched paths must agree
         # on every stats counter bit-for-bit, and only the batched path
-        # classifies, so these live beside the stats rather than in them.
+        # declines, so these live beside the stats rather than in them.
         self.deferred_declines: Dict[str, int] = {
             "z_break": 0,
             "write_overflow": 0,
@@ -356,19 +348,23 @@ class BaryonController:
                 overflow=result.write_overflow,
             )
         return result
-
     # ------------------------------------------------ deferred batch path
     @property
     def supports_batching(self) -> bool:
         """May the simulator drive this controller through the deferred
-        batch fast path (:meth:`access_deferred` + :meth:`access_batch`)?
+        server (:meth:`make_deferred_server`)?
 
-        Requires every optional per-access observer to be absent: fault
-        injection, recovery, the shadow checker, the phase tracker, event
-        tracing, and quarantined super-blocks all hook the scalar flow.
-        Subclasses that intercept ``access`` (the content-backed oracle)
-        shadow this property with a class attribute ``False``.
+        Requires every per-access observer the server's inlined bodies
+        skip to be absent: fault injection (controller, remap cache,
+        devices, row buffer), recovery, the shadow checker, the phase
+        tracker, event tracing (controller, remap cache, row buffer), and
+        quarantined super-blocks all hook the scalar flow. Subclasses
+        that intercept ``access`` (the content-backed oracle) shadow this
+        property with a class attribute ``False``.
         """
+        rc = self.remap_cache
+        fast = self.devices.fast
+        rb = fast.row_buffer
         return (
             self.faults is None
             and self.recovery is None
@@ -376,10 +372,15 @@ class BaryonController:
             and self.tracker is None
             and not self.obs.enabled
             and not self._quarantined
+            and not rc.obs.enabled
+            and rc.faults is None
+            and fast.faults is None
+            and self.devices.slow.faults is None
+            and (rb is None or (not rb.obs.enabled and rb.faults is None))
         )
 
     def _staged_block_of(self, super_id: int, block_id: int, blk_off: int):
-        """Columnar-index form of :meth:`StageArea.lookup_block`.
+        """Probe-index form of :meth:`StageArea.lookup_block`.
 
         One dict probe instead of the way x slot scan; identical answers
         by the Rule-3 invariant. Falls back to the scanning lookup when
@@ -388,344 +389,66 @@ class BaryonController:
         """
         if self.faults is not None:
             return self.stage.lookup_block(super_id, blk_off)
-        ref = self.columnar.stage_block.get(block_id)
+        ref = self.stage.stage_block.get(block_id)
         if ref is None:
             return None
         way = ref[0]
         return way, self.stage.tags.entries[super_id % self.stage.num_sets][way]
 
-    def _count_table_probe(self) -> None:
-        """Traffic accounting of the 16 B off-chip remap-table probe; its
-        queue/transfer timing replays later from the op record."""
-        dev = self.devices.fast
-        dev._n_read_bytes += 16
-        dev._n_reads += 1
-        dev._n_demand_read_bytes += 16
-        self._stats.inc("remap_table_reads")
+    # perfbench/layers.py's tracer wraps these names by lookup but never calls them.
+    access_deferred = access_classified = access_batch = make_run_classifier = None
 
-    def access_deferred(self, addr: int, is_write: bool = False):
-        """Serve one 64 B access with state applied now and timing deferred.
+    def make_deferred_server(self, _tracer_arg=None):
+        """Build the deferred serve/flush/replay closures for the hot loop.
 
-        The batch-safe cases — stage hit, commit hit, commit miss,
-        resident/displaced flat home — mutate no state whose transitions
-        depend on the clock, so their state effects (LRU touches,
-        remap-cache fills, credit/aging counters, dirty marks, oracle
-        write notes, traffic and case counters, prefetched-line
-        computation) are applied eagerly in trace order here, while the
-        clock-dependent part (channel queueing) is captured as one op
-        tuple for :meth:`access_batch` to replay:
+        Valid only while :attr:`supports_batching` holds. Returns
+        ``(serve, flush, replay)``:
 
-            (rc_miss, stage_meta, dev, nbytes, array_latency, decomp, lines)
+        ``serve(addr, is_write) -> op | None``
+            Serves one memory access with every state effect applied now
+            and its timing deferred. The Fig. 6 case is classified inline
+            and every per-op helper call is inlined: the remap-cache LRU
+            probe, the row-buffer bank transition, the stage rank /
+            fast-area replacement touches, and the set-access aging
+            count. Staging fetches (cases 3/5) run the real
+            fetch-and-stage eagerly with the channel pools swapped for
+            :class:`_RecordingPool` recorders. Returns ``None`` — with
+            **no state applied** — when the access needs the scalar
+            :meth:`access` (zero-encoding breaks, write overflows, the
+            no-stage ablation, a broken fast-area invariant), charging
+            the reason to ``deferred_declines``.
+        ``flush()``
+            Traffic, case, and hit-ratio counters accumulate in closure
+            locals; this scatters them into the real counter attributes
+            in one bulk update — integer sums, so the folded totals are
+            bit-identical to per-op increments. The simulator flushes
+            before any scalar ``access`` call and at the end of every
+            span, so no intermediate value is ever observable.
+        ``replay(ops, cycles, mlp) -> cycles``
+            Replays a span of op tuples (interleaved with plain floats,
+            the core-side cycle increments the caller deferred) against
+            the channel pools. Each op is served at the clock value the
+            accumulator has reached — exactly the ``now`` the scalar loop
+            would have passed to :meth:`access` — so the channel state,
+            the queueing delays and the float accumulation order of
+            ``cycles`` are bit-identical to the scalar path.
 
-        ``dev`` is 0 (no data device: zero-encoded data), 1 (fast read),
-        2 (slow read), 3 (fast write) or 4 (slow write); ``stage_meta``
-        selects the stage-hit metadata latency rule (tag latency only)
-        over ``max(tag, remap)``; ``lines`` are the prefetched cacheline
-        addresses for the caller to install.
+        An op is ``(rc_miss, stage_meta, dev, nbytes, array_latency,
+        decomp, lines)``: ``dev`` is 0 (zero-encoded data, no device),
+        1 (fast read), 2 (slow read), 3 (fast write), 4 (slow write), or
+        5/6 (staging fetch on a read/write, with ``nbytes`` carrying
+        ``(demand_bytes, captured_transfers)``); ``stage_meta`` selects
+        the stage-hit metadata latency rule; ``lines`` are the prefetched
+        cacheline addresses for the caller to install.
 
-        Write hits qualify only when they provably do not overflow: the
-        oracle's pure ``peek_write``/``fits_at`` probes test the
-        post-write verdict before anything mutates. Returns ``None`` —
-        with **no state applied** (classification uses only pure probes)
-        — whenever the access needs the scalar path: staging fetches
-        (cases 3/5), zero-encoding breaks, write overflows, the no-stage
-        ablation, or a broken fast-area invariant. The scalar
-        :meth:`access` then serves it bit-identically.
+        ``_tracer_arg`` is ignored: it absorbs the one positional
+        argument perfbench/layers.py's tracer wrapper forwards.
         """
-        block_size = self._g_block_size
-        block_id = addr // block_size
-        super_id = block_id // self._g_super_blocks
-        rem = addr % block_size
-        sub_size = self._g_sub_size
-        sub_idx = rem // sub_size
-        col = self.columnar
-        staged = col.stage_sub.get(block_id * self._g_sub_per_block + sub_idx)
-        if staged is not None:
-            # Case 1: stage hit.
-            way, slot_idx = staged
-            stage = self.stage
-            set_index = super_id % stage.num_sets
-            slot = stage.tags.entries[set_index][way].slots[slot_idx]
-            if is_write:
-                if slot.zero:
-                    # Z break: the scalar path re-stages.
-                    self.deferred_declines["z_break"] += 1
-                    return None
-                cf = slot.cf
-                if (
-                    cf > 1
-                    and self.oracle.peek_write(block_id, sub_idx)
-                    and not self.oracle.fits_at(
-                        block_id, slot.sub_start, cf, self._ca,
-                        self.oracle.version_of(block_id) + 1,
-                    )
-                ):
-                    # Write overflow: the scalar path splits the range.
-                    self.deferred_declines["write_overflow"] += 1
-                    return None
-                stage.record_set_access(set_index)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                stage.touch(set_index, way)
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                dev._array_latency(
-                    block_id * block_size + sub_idx * sub_size,
-                    dev.write_latency,
-                )
-                stage.mark_dirty(set_index, way, slot_idx)
-                self.oracle.note_write(block_id, sub_idx)
-                self._n_accesses += 1
-                self._n_writes += 1
-                self._n_cases[self._idx_stage_hit] += 1
-                self._n_served_fast += 1
-                return (rc_miss, True, 3, nbytes, 0.0, 0.0, None)
-            stage.record_set_access(set_index)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            stage.touch(set_index, way)
-            self._n_accesses += 1
-            self._n_reads += 1
-            self._n_cases[self._idx_stage_hit] += 1
-            self._n_served_fast += 1
-            if slot.zero:
-                return (rc_miss, True, 0, 0, 0.0, 0.0, None)
-            cf = slot.cf
-            nbytes = self._cl_size if (cf <= 1 or self._ca) else self._sb_size
-            dev = self.devices.fast
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            arr = dev._array_latency(
-                block_id * block_size + sub_idx * sub_size, dev.read_latency
-            ) + 0.0
-            if cf > 1:
-                line_idx = (rem % sub_size) // self._g_line_size
-                lines = self._chunk_lines(
-                    block_id, slot.sub_start, cf, sub_idx, line_idx
-                )
-                return (rc_miss, True, 1, nbytes, arr, self._decomp_f, lines)
-            return (rc_miss, True, 1, nbytes, arr, 0.0, None)
-
-        entry = self.remap_table._entries.get(block_id)
-        blk_off = block_id % self._g_super_blocks
-        if entry is not None and entry.sub_block_remapped(sub_idx):
-            # Case 2: commit hit.
-            located = self.fast_area.find_block(super_id, blk_off)
-            if located is None:
-                # Broken invariant: the scalar path raises.
-                self.deferred_declines["invariant"] += 1
-                return None
-            way, state = located
-            if is_write:
-                if entry.zero:
-                    # Z break: the scalar path evicts the logical block.
-                    self.deferred_declines["z_break"] += 1
-                    return None
-                start, cf = entry.range_of(sub_idx)
-                if (
-                    self.oracle.peek_write(block_id, sub_idx)
-                    and cf > 1
-                    and not self.oracle.fits_at(
-                        block_id, start, cf, self._ca,
-                        self.oracle.version_of(block_id) + 1,
-                    )
-                ):
-                    # Rule-4 overflow: the scalar path evicts.
-                    self.deferred_declines["write_overflow"] += 1
-                    return None
-                self.stage.record_set_access(super_id % self.stage.num_sets)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                self.fast_area.touch(self.fast_area.set_of_super(super_id), way)
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                dev._array_latency(
-                    block_id * block_size + sub_idx * sub_size,
-                    dev.write_latency,
-                )
-                state.dirty_subs.add((blk_off, sub_idx))
-                self.oracle.note_write(block_id, sub_idx)
-                self._n_accesses += 1
-                self._n_writes += 1
-                self._n_cases[self._idx_commit_hit] += 1
-                self._n_served_fast += 1
-                return (rc_miss, False, 3, nbytes, 0.0, 0.0, None)
-            self.stage.record_set_access(super_id % self.stage.num_sets)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            self.fast_area.touch(self.fast_area.set_of_super(super_id), way)
-            self._n_accesses += 1
-            self._n_reads += 1
-            self._n_cases[self._idx_commit_hit] += 1
-            self._n_served_fast += 1
-            if entry.zero:
-                return (rc_miss, False, 0, 0, 0.0, 0.0, None)
-            start, cf = entry.range_of(sub_idx)
-            nbytes = self._cl_size if (cf <= 1 or self._ca) else self._sb_size
-            dev = self.devices.fast
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            arr = dev._array_latency(
-                block_id * block_size + sub_idx * sub_size, dev.read_latency
-            ) + 0.0
-            if cf > 1:
-                line_idx = (rem % sub_size) // self._g_line_size
-                lines = self._chunk_lines(block_id, start, cf, sub_idx, line_idx)
-                return (rc_miss, False, 1, nbytes, arr, self._decomp_f, lines)
-            return (rc_miss, False, 1, nbytes, arr, 0.0, None)
-        if self._stage_on and block_id in col.stage_block:
-            # Case 3: the staged fetch mutates, scalar path.
-            self.deferred_declines["staging_fetch"] += 1
-            return None
-        if entry is not None:
-            # entry.is_remapped but the demanded sub-block is not staged
-            # or committed.
-            if not self._stage_on:
-                # The no-stage ablation inserts directly.
-                self.deferred_declines["no_stage"] += 1
-                return None
-            # Case 4: commit miss — a pure slow-memory bypass.
-            self.stage.record_set_access(super_id % self.stage.num_sets)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            self._n_accesses += 1
-            self._n_cases[self._idx_commit_miss] += 1
-            dev = self.devices.slow
-            nbytes = self._cl_size
-            if is_write:
-                self._n_writes += 1
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                return (rc_miss, False, 4, nbytes, 0.0, 0.0, None)
-            self._n_reads += 1
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            return (rc_miss, False, 2, nbytes, dev.read_latency + 0.0, 0.0, None)
-        if (
-            self._flat_blocks
-            and block_id % self._home_period == 0
-            and block_id // self._home_period < self._flat_blocks
-        ):
-            if block_id not in self._displaced:
-                # Flat scheme: resident home block, served in place.
-                self.stage.record_set_access(super_id % self.stage.num_sets)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                self._n_accesses += 1
-                self._n_cases[self._idx_fast_home] += 1
-                self._n_served_fast += 1
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                if is_write:
-                    self._n_writes += 1
-                    dev._n_write_bytes += nbytes
-                    dev._n_writes += 1
-                    dev._array_latency(
-                        block_id * block_size, dev.write_latency
-                    )
-                    self._home_stamps[block_id] = self.fast_area.next_stamp()
-                    return (rc_miss, False, 3, nbytes, 0.0, 0.0, None)
-                self._n_reads += 1
-                dev._n_read_bytes += nbytes
-                dev._n_reads += 1
-                dev._n_demand_read_bytes += nbytes
-                arr = dev._array_latency(
-                    block_id * block_size, dev.read_latency
-                ) + 0.0
-                self._home_stamps[block_id] = self.fast_area.next_stamp()
-                return (rc_miss, False, 1, nbytes, arr, 0.0, None)
-            # Displaced home: served from its spread slow copy.
-            self.stage.record_set_access(super_id % self.stage.num_sets)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            self._n_accesses += 1
-            self._n_cases[self._idx_slow_direct] += 1
-            dev = self.devices.slow
-            nbytes = self._cl_size
-            if is_write:
-                self._n_writes += 1
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                return (rc_miss, False, 4, nbytes, 0.0, 0.0, None)
-            self._n_reads += 1
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            return (rc_miss, False, 2, nbytes, dev.read_latency + 0.0, 0.0, None)
-        # Case 5: the block miss stages a fetch, scalar path.
-        self.deferred_declines["staging_fetch"] += 1
-        return None
-
-    def make_run_classifier(self, addrs, writes):
-        """Bulk verdict source for a whole trace's deferred path.
-
-        Returns a :class:`~repro.core.columnar.DeferredRunClassifier`
-        classifying chunks of future trace indices with numpy gathers
-        over the columnar arrays, or ``None`` when the trace or this
-        controller cannot support it (the simulator then classifies every
-        op with :meth:`access_deferred` exactly as before).
-        """
-        if not self.supports_batching:
-            return None
-        from repro.core.columnar import build_run_classifier
-
-        return build_run_classifier(self, addrs, writes)
-
-    def make_deferred_server(self, dirty_blocks=None):
-        """Build the inlined serve/flush closure pair for the hot loop.
-
-        Returns ``(serve, flush, replay)`` or ``None``. ``serve(addr,
-        is_write, code, aux)`` is a drop-in for :meth:`access_deferred` (``code ==
-        0``: classify inline) and :meth:`access_classified` (``code > 0``:
-        trust the gathered verdict — revalidated against ``dirty_blocks``,
-        the classifier's post-gather mutation set, falling back to the
-        inline classification when the block went stale) with every
-        per-op helper call inlined:
-        the remap-cache LRU probe, the row-buffer bank transition, the
-        stage rank / fast-area stamp touches, and the set-access aging
-        count. Traffic, case, and hit-ratio counters accumulate in closure
-        locals and ``flush()`` scatters them into the real counter
-        attributes in one bulk update — integer sums, so the folded totals
-        are bit-identical to per-op increments and no intermediate value
-        is ever observable (the simulator flushes before any scalar
-        ``access`` call and before every stats snapshot).
-
-        Construction declines (returns ``None``) when any per-op observer
-        the inlined bodies skip could fire: controller-level hooks (via
-        :attr:`supports_batching`), remap-cache tracing or faults, device
-        faults, or row-buffer tracing, faults, or a non-LRU fast area.
-        """
-        if not self.supports_batching:
-            return None
         rc = self.remap_cache
-        devices = self.devices
-        fast = devices.fast
-        slow = devices.slow
+        fast = self.devices.fast
+        slow = self.devices.slow
         rb = fast.row_buffer
         fa = self.fast_area
-        if (
-            rc.obs.enabled
-            or rc.faults is not None
-            or fast.faults is not None
-            or slow.faults is not None
-            or (rb is not None and (rb.obs.enabled or rb.faults is not None))
-            or fa.replacement != "lru"
-        ):
-            return None
 
         # ---- bound hot state (locals inside the closures) ----
         block_size = self._g_block_size
@@ -742,11 +465,9 @@ class BaryonController:
         home_period = self._home_period
         displaced = self._displaced
         home_stamps = self._home_stamps
-        col = self.columnar
-        stage_sub = col.stage_sub
-        stage_sub_get = stage_sub.get
-        stage_block = col.stage_block
         stage = self.stage
+        stage_sub_get = stage.stage_sub.get
+        stage_block = stage.stage_block
         stage_entries = stage.tags.entries
         stage_num_sets = stage.num_sets
         set_counts = stage._set_accesses
@@ -754,13 +475,16 @@ class BaryonController:
         aging_period = stage._aging_period
         age_set = stage.age_set
         lines_per_sub = self.geometry.cachelines_per_sub_block
-        col_mark_dirty = None if col is None else col.stage_mark_dirty
         # Remap-cache inline-probe contract: see RemapCache.probe_state
         # for the transitions the probe below must preserve.
-        rc_sets, rc_num_sets, _, rc_col = rc.probe_state()
+        rc_sets, rc_num_sets, _ = rc.probe_state()
         rc_credit = rc.credit_probes
         fa_blocks = fa.blocks
         fa_num_sets = fa.num_sets
+        # Commit hits stamp LRU recency inline; the other policies go
+        # through FastArea.touch (a no-op for FIFO and random).
+        fa_lru = fa.replacement == "lru"
+        fa_touch = fa.touch
         entries_tbl = self.remap_table._entries
         entries_get = entries_tbl.get
         oracle = self.oracle
@@ -768,7 +492,6 @@ class BaryonController:
         fits_at = oracle.fits_at
         version_of = oracle.version_of
         note_write = oracle.note_write
-        chunk_lines = self._chunk_lines
         declines = self.deferred_declines
         f_read_lat = fast.read_latency
         f_write_lat = fast.write_latency
@@ -790,12 +513,10 @@ class BaryonController:
         idx_slowd = self._idx_slow_direct
         idx_smiss = AccessCase.STAGE_MISS.index
         idx_bmiss = AccessCase.BLOCK_MISS.index
-        dirty = dirty_blocks if dirty_blocks is not None else frozenset()
         # Staging-fetch capture: the real fetch-and-stage runs eagerly
         # against these recording pools (see :class:`_RecordingPool`).
         miss_cap = stage.config.miss_counter_max()
         mru_miss_cnt = stage.mru_miss_cnt
-        col_block_miss = col.stage_block_miss
         fetch_and_stage = self._fetch_and_stage
         real_fast_pool = fast.pool
         real_slow_pool = slow.pool
@@ -830,7 +551,7 @@ class BaryonController:
         s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
         rb_h = rb_m = rb_p = rb_a = 0
 
-        def serve(addr, is_write, code, aux):
+        def serve(addr, is_write):
             nonlocal t_acc, t_reads, t_writes, t_served
             nonlocal c_stage, c_commit, c_cmiss, c_home, c_slowd, tbl_reads
             nonlocal c_smiss, c_bmiss
@@ -844,29 +565,36 @@ class BaryonController:
             rem = addr % block_size
             sub_idx = rem // sub_size
 
-            # ---- resolve the case: gathered verdict or inline classify ----
-            slot = None
-            entry = None
-            state = None
-            if code and block_id in dirty:
-                code = 0
-            if code:
-                if code <= 3:
-                    case = 1
-                    way = aux & 7
-                    if code == 1:
-                        zero = False
-                        cf = (aux >> 8) & 7
-                        sub_start = aux >> 12
-                    elif code == 2:
-                        zero = True
-                    else:
-                        zero = False
-                        slot_idx = (aux >> 3) & 31
-                elif code <= 6:
+            # ---- resolve the Fig. 6 case ----
+            staged = stage_sub_get(block_id * sub_per_block + sub_idx)
+            if staged is not None:
+                case = 1
+                way, slot_idx = staged
+                slot = stage_entries[super_id % stage_num_sets][way].slots[slot_idx]
+                zero = slot.zero
+                if is_write:
+                    if zero:
+                        declines["z_break"] += 1
+                        return None
+                    cf = slot.cf
+                    if (
+                        cf > 1
+                        and peek_write(block_id, sub_idx)
+                        and not fits_at(
+                            block_id, slot.sub_start, cf, ca,
+                            version_of(block_id) + 1,
+                        )
+                    ):
+                        declines["write_overflow"] += 1
+                        return None
+                elif not zero:
+                    cf = slot.cf
+                    sub_start = slot.sub_start
+            else:
+                entry = entries_get(block_id)
+                blk_off = block_id % super_blocks
+                if entry is not None and (entry.zero or (entry.remap >> sub_idx) & 1):
                     case = 2
-                    blk_off = block_id % super_blocks
-                    # The fast-area residency invariant stays a live check.
                     found = None
                     for w, st in enumerate(fa_blocks[super_id % fa_num_sets]):
                         if st is not None and st.super_id == super_id:
@@ -878,127 +606,74 @@ class BaryonController:
                         declines["invariant"] += 1
                         return None
                     way = found
-                    zero = code == 5
-                    if code == 4:
-                        cf = aux & 7
-                        sub_start = aux >> 3
-                else:
-                    case = 4
-            else:
-                staged = stage_sub_get(block_id * sub_per_block + sub_idx)
-                if staged is not None:
-                    case = 1
-                    way, slot_idx = staged
-                    slot = stage_entries[super_id % stage_num_sets][way].slots[
-                        slot_idx
-                    ]
-                    zero = slot.zero
+                    zero = entry.zero
                     if is_write:
                         if zero:
                             declines["z_break"] += 1
                             return None
-                        cf = slot.cf
+                        # entry.range_of, inlined (zero is False and
+                        # membership already established above).
+                        quad = sub_idx >> 2
+                        if (entry.cf4 >> quad) & 1:
+                            sub_start = quad << 2
+                            cf = 4
+                        else:
+                            pair = sub_idx >> 1
+                            if (entry.cf2 >> pair) & 1:
+                                sub_start = pair << 1
+                                cf = 2
+                            else:
+                                sub_start = sub_idx
+                                cf = 1
                         if (
-                            cf > 1
-                            and peek_write(block_id, sub_idx)
+                            peek_write(block_id, sub_idx)
+                            and cf > 1
                             and not fits_at(
-                                block_id, slot.sub_start, cf, ca,
+                                block_id, sub_start, cf, ca,
                                 version_of(block_id) + 1,
                             )
                         ):
                             declines["write_overflow"] += 1
                             return None
                     elif not zero:
-                        cf = slot.cf
-                        sub_start = slot.sub_start
-                else:
-                    entry = entries_get(block_id)
-                    blk_off = block_id % super_blocks
-                    if entry is not None and (
-                        entry.zero or (entry.remap >> sub_idx) & 1
-                    ):
-                        case = 2
-                        found = None
-                        for w, st in enumerate(
-                            fa_blocks[super_id % fa_num_sets]
-                        ):
-                            if st is not None and st.super_id == super_id:
-                                if blk_off in st.committed:
-                                    found = w
-                                    state = st
-                                    break
-                        if found is None:
-                            declines["invariant"] += 1
-                            return None
-                        way = found
-                        zero = entry.zero
-                        if is_write:
-                            if zero:
-                                declines["z_break"] += 1
-                                return None
-                            # entry.range_of, inlined (zero is False and
-                            # membership already established above).
-                            quad = sub_idx >> 2
-                            if (entry.cf4 >> quad) & 1:
-                                sub_start = quad << 2
-                                cf = 4
+                        quad = sub_idx >> 2
+                        if (entry.cf4 >> quad) & 1:
+                            sub_start = quad << 2
+                            cf = 4
+                        else:
+                            pair = sub_idx >> 1
+                            if (entry.cf2 >> pair) & 1:
+                                sub_start = pair << 1
+                                cf = 2
                             else:
-                                pair = sub_idx >> 1
-                                if (entry.cf2 >> pair) & 1:
-                                    sub_start = pair << 1
-                                    cf = 2
-                                else:
-                                    sub_start = sub_idx
-                                    cf = 1
-                            if (
-                                peek_write(block_id, sub_idx)
-                                and cf > 1
-                                and not fits_at(
-                                    block_id, sub_start, cf, ca,
-                                    version_of(block_id) + 1,
-                                )
-                            ):
-                                declines["write_overflow"] += 1
-                                return None
-                        elif not zero:
-                            quad = sub_idx >> 2
-                            if (entry.cf4 >> quad) & 1:
-                                sub_start = quad << 2
-                                cf = 4
-                            else:
-                                pair = sub_idx >> 1
-                                if (entry.cf2 >> pair) & 1:
-                                    sub_start = pair << 1
-                                    cf = 2
-                                else:
-                                    sub_start = sub_idx
-                                    cf = 1
-                    elif stage_on and block_id in stage_block:
-                        # Case 3: sub-block miss on a staged block.
-                        case = 7
-                        miss_way = stage_block[block_id][0]
-                    elif entry is not None:
-                        if not stage_on:
-                            declines["no_stage"] += 1
-                            return None
-                        case = 4
-                    elif (
-                        flat_blocks
-                        and block_id % home_period == 0
-                        and block_id // home_period < flat_blocks
-                    ):
-                        case = 5 if block_id not in displaced else 6
-                    elif not stage_on:
-                        # No-stage ablation miss: the scalar path inserts
-                        # directly (access_deferred's decline reason).
-                        declines["staging_fetch"] += 1
+                                sub_start = sub_idx
+                                cf = 1
+                elif stage_on and block_id in stage_block:
+                    # Case 3: sub-block miss on a staged block.
+                    case = 7
+                    miss_way = stage_block[block_id][0]
+                elif entry is not None:
+                    if not stage_on:
+                        declines["no_stage"] += 1
                         return None
-                    else:
-                        # Case 5: block miss, fetch-and-stage.
-                        case = 7
-                        miss_way = None
+                    case = 4
+                elif (
+                    flat_blocks
+                    and block_id % home_period == 0
+                    and block_id // home_period < flat_blocks
+                ):
+                    case = 5 if block_id not in displaced else 6
+                elif not stage_on:
+                    # No-stage ablation miss: the scalar path inserts
+                    # directly.
+                    declines["staging_fetch"] += 1
+                    return None
+                else:
+                    # Case 5: block miss, fetch-and-stage.
+                    case = 7
+                    miss_way = None
 
-            # ---- shared eager effects, in access_deferred's exact order ----
+            # ---- shared eager effects, in the scalar path's order ----
             set_index = super_id % stage_num_sets
             n = set_counts[set_index] + 1
             if n < aging_period:
@@ -1023,8 +698,6 @@ class BaryonController:
                 if len(rc_lines) >= rc_set.ways:
                     del rc_lines[next(iter(rc_lines))]
                     rc_ne += 1
-                elif rc_col is not None:
-                    rc_col.rc_occupancy[rci] += 1
                 rc_line = CacheLine(rc_tag)
                 rc_set._clock += 1
                 rc_line.counter = rc_set._clock
@@ -1070,20 +743,19 @@ class BaryonController:
                                 rb_p += 1
                             else:
                                 rb_a += 1
-                    if slot is None:
-                        slot = stage_entries[set_index][way].slots[slot_idx]
                     slot.dirty = True
-                    if col_mark_dirty is not None:
-                        col_mark_dirty(set_index, way, slot_idx)
                     note_write(block_id, sub_idx)
                     return (rc_miss, True, 3, cl_size, 0.0, 0.0, None)
                 t_reads += 1
                 if zero:
                     return (rc_miss, True, 0, 0, 0.0, 0.0, None)
             elif case == 2:
-                # Commit hit: fast-area LRU stamp, then serve.
-                fa._clock += 1
-                state.stamp = fa._clock
+                # Commit hit: fast-area replacement touch, then serve.
+                if fa_lru:
+                    fa._clock += 1
+                    state.stamp = fa._clock
+                else:
+                    fa_touch(super_id % fa_num_sets, way)
                 t_acc += 1
                 c_commit += 1
                 t_served += 1
@@ -1155,7 +827,6 @@ class BaryonController:
                     if n > miss_cap:
                         n = miss_cap
                     bound_entry.miss_count = n
-                    col_block_miss(set_index, miss_way, n)
                     if bound_entry.lru == valid_counts[set_index] - 1:
                         n = mru_miss_cnt[set_index] + 1
                         mru_miss_cnt[set_index] = (
@@ -1496,8 +1167,7 @@ class BaryonController:
                     rb_a = 0
             return None
 
-        # Prebound replay: access_batch with the prologue binds hoisted
-        # (the loop body is copied verbatim — same float operation order).
+        # ---- replay: the channel timing of a span of ops ----
         fast_transfer = fast.pool.transfer
         slow_transfer = slow.pool.transfer
         tag_lat = self._tag_lat_f
@@ -1541,6 +1211,9 @@ class BaryonController:
                         continue
                     if rc_miss:
                         fast_transfer(now, 16, True)
+                    # Posted write: evolves the channel busy state (and the
+                    # remap-table probe) but adds no core-visible latency —
+                    # the simulator never accumulates write latencies.
                     if dev == 3:
                         fast_transfer(now, nbytes)
                     else:
@@ -1569,245 +1242,6 @@ class BaryonController:
             return cycles
 
         return serve, flush, replay
-
-    def access_classified(self, addr: int, is_write: bool, code: int, aux: int):
-        """Serve one access whose membership verdict was pre-resolved.
-
-        ``code``/``aux`` come from the run classifier's gather pass (see
-        :mod:`repro.core.columnar`): the verdict already encodes which
-        Fig. 6 case applies and where the covering range lives, so this
-        only applies the order-sensitive eager effects — stage credit and
-        LRU touches, the remap-cache probe with its fill, traffic and
-        case counters, row-buffer evolution, dirty marks and oracle write
-        notes — in exactly :meth:`access_deferred`'s order, and emits the
-        same op tuple for :meth:`access_batch`. Counter updates and float
-        expressions mirror that method operation for operation; the
-        fuzzer holds both to the scalar reference bit-for-bit.
-        """
-        block_size = self._g_block_size
-        block_id = addr // block_size
-        super_id = block_id // self._g_super_blocks
-        stage = self.stage
-        set_index = super_id % stage.num_sets
-        if code <= 3:
-            # Case 1: stage hit; aux packs way/slot/cf/sub_start.
-            way = aux & 7
-            if is_write:
-                # CLS_STAGE_WRITE: uncompressed non-zero slot, no
-                # overflow probe needed (cf <= 1 never overflows).
-                stage.record_set_access(set_index)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                stage.touch(set_index, way)
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                sub_size = self._g_sub_size
-                sub_idx = (addr % block_size) // sub_size
-                dev._array_latency(
-                    block_id * block_size + sub_idx * sub_size,
-                    dev.write_latency,
-                )
-                stage.mark_dirty(set_index, way, (aux >> 3) & 31)
-                self.oracle.note_write(block_id, sub_idx)
-                self._n_accesses += 1
-                self._n_writes += 1
-                self._n_cases[self._idx_stage_hit] += 1
-                self._n_served_fast += 1
-                return (rc_miss, True, 3, nbytes, 0.0, 0.0, None)
-            stage.record_set_access(set_index)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            stage.touch(set_index, way)
-            self._n_accesses += 1
-            self._n_reads += 1
-            self._n_cases[self._idx_stage_hit] += 1
-            self._n_served_fast += 1
-            if code == 2:  # CLS_STAGE_ZERO
-                return (rc_miss, True, 0, 0, 0.0, 0.0, None)
-            cf = (aux >> 8) & 7
-            nbytes = self._cl_size if (cf <= 1 or self._ca) else self._sb_size
-            dev = self.devices.fast
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            rem = addr % block_size
-            sub_size = self._g_sub_size
-            sub_idx = rem // sub_size
-            arr = dev._array_latency(
-                block_id * block_size + sub_idx * sub_size, dev.read_latency
-            ) + 0.0
-            if cf > 1:
-                line_idx = (rem % sub_size) // self._g_line_size
-                lines = self._chunk_lines(
-                    block_id, aux >> 12, cf, sub_idx, line_idx
-                )
-                return (rc_miss, True, 1, nbytes, arr, self._decomp_f, lines)
-            return (rc_miss, True, 1, nbytes, arr, 0.0, None)
-        if code <= 6:
-            # Case 2: commit hit; aux packs range_of's (cf, sub_start).
-            # The fast-area residency invariant stays a live per-op check.
-            blk_off = block_id % self._g_super_blocks
-            located = self.fast_area.find_block(super_id, blk_off)
-            if located is None:
-                self.deferred_declines["invariant"] += 1
-                return None
-            way, state = located
-            sub_size = self._g_sub_size
-            rem = addr % block_size
-            sub_idx = rem // sub_size
-            if is_write:
-                # CLS_COMMIT_WRITE: cf <= 1, non-zero — never overflows.
-                stage.record_set_access(set_index)
-                rc_miss = not self.remap_cache.access(super_id)
-                if rc_miss:
-                    self._count_table_probe()
-                self.fast_area.touch(self.fast_area.set_of_super(super_id), way)
-                dev = self.devices.fast
-                nbytes = self._cl_size
-                dev._n_write_bytes += nbytes
-                dev._n_writes += 1
-                dev._array_latency(
-                    block_id * block_size + sub_idx * sub_size,
-                    dev.write_latency,
-                )
-                state.dirty_subs.add((blk_off, sub_idx))
-                self.oracle.note_write(block_id, sub_idx)
-                self._n_accesses += 1
-                self._n_writes += 1
-                self._n_cases[self._idx_commit_hit] += 1
-                self._n_served_fast += 1
-                return (rc_miss, False, 3, nbytes, 0.0, 0.0, None)
-            stage.record_set_access(set_index)
-            rc_miss = not self.remap_cache.access(super_id)
-            if rc_miss:
-                self._count_table_probe()
-            self.fast_area.touch(self.fast_area.set_of_super(super_id), way)
-            self._n_accesses += 1
-            self._n_reads += 1
-            self._n_cases[self._idx_commit_hit] += 1
-            self._n_served_fast += 1
-            if code == 5:  # CLS_COMMIT_ZERO
-                return (rc_miss, False, 0, 0, 0.0, 0.0, None)
-            cf = aux & 7
-            nbytes = self._cl_size if (cf <= 1 or self._ca) else self._sb_size
-            dev = self.devices.fast
-            dev._n_read_bytes += nbytes
-            dev._n_reads += 1
-            dev._n_demand_read_bytes += nbytes
-            arr = dev._array_latency(
-                block_id * block_size + sub_idx * sub_size, dev.read_latency
-            ) + 0.0
-            if cf > 1:
-                line_idx = (rem % sub_size) // self._g_line_size
-                lines = self._chunk_lines(block_id, aux >> 3, cf, sub_idx, line_idx)
-                return (rc_miss, False, 1, nbytes, arr, self._decomp_f, lines)
-            return (rc_miss, False, 1, nbytes, arr, 0.0, None)
-        # Case 4: commit miss — a pure slow-memory bypass.
-        stage.record_set_access(set_index)
-        rc_miss = not self.remap_cache.access(super_id)
-        if rc_miss:
-            self._count_table_probe()
-        self._n_accesses += 1
-        self._n_cases[self._idx_commit_miss] += 1
-        dev = self.devices.slow
-        nbytes = self._cl_size
-        if is_write:
-            self._n_writes += 1
-            dev._n_write_bytes += nbytes
-            dev._n_writes += 1
-            return (rc_miss, False, 4, nbytes, 0.0, 0.0, None)
-        self._n_reads += 1
-        dev._n_read_bytes += nbytes
-        dev._n_reads += 1
-        dev._n_demand_read_bytes += nbytes
-        return (rc_miss, False, 2, nbytes, dev.read_latency + 0.0, 0.0, None)
-
-    def access_batch(self, ops, cycles: float, mlp: float) -> float:
-        """Replay a span of deferred ops against the channel pools.
-
-        ``ops`` interleaves plain floats (core-side cycle increments the
-        caller deferred to keep the accumulation order) with op tuples
-        from :meth:`access_deferred`, in trace order. Each op is served at
-        the clock value the accumulator has reached — exactly the ``now``
-        the scalar loop would have passed to :meth:`access` — so the
-        channel busy-state evolution, the queueing delays and the float
-        accumulation order of ``cycles`` are bit-identical to the scalar
-        path. Returns the advanced ``cycles``.
-        """
-        fast_transfer = self.devices.fast.pool.transfer
-        slow_transfer = self.devices.slow.pool.transfer
-        tag_lat = self._tag_lat_f
-        meta_hit = self._meta_hit_f
-        rc_lat = self._rc_lat_f
-        probe_lat = self.devices.fast.read_latency + 0.0
-        now = self._now
-        for op in ops:
-            if op.__class__ is float:
-                cycles += op
-                continue
-            rc_miss, stage_meta, dev, nbytes, arr, decomp, _lines = op
-            now = cycles
-            if dev >= 3:
-                if dev >= 5:
-                    # Staging fetch (cases 3/5): ``nbytes`` carries
-                    # ``(demand_bytes, extras)`` — the demand read plus
-                    # the captured posted transfers, replayed in capture
-                    # order. Only reads (dev 5) stall the core.
-                    demand_nb, extras = nbytes
-                    if rc_miss:
-                        queue, transfer = fast_transfer(now, 16, True)
-                        remap_lat = rc_lat + ((probe_lat + queue) + transfer)
-                        latency = remap_lat if remap_lat > tag_lat else tag_lat
-                    else:
-                        latency = meta_hit
-                    if demand_nb:
-                        queue, transfer = slow_transfer(now, demand_nb, True)
-                        latency += (arr + queue) + transfer
-                        if decomp:
-                            latency += decomp
-                    for pid, nb, pri in extras:
-                        if pid:
-                            fast_transfer(now, nb, pri)
-                        else:
-                            slow_transfer(now, nb, pri)
-                    if dev == 5:
-                        cycles += latency / mlp
-                    continue
-                # Posted write: evolves the channel busy state (and the
-                # remap-table probe) but adds no core-visible latency —
-                # the simulator never accumulates write latencies.
-                if rc_miss:
-                    fast_transfer(now, 16, True)
-                if dev == 3:
-                    fast_transfer(now, nbytes)
-                else:
-                    slow_transfer(now, nbytes)
-                continue
-            if rc_miss:
-                queue, transfer = fast_transfer(now, 16, True)
-                if stage_meta:
-                    latency = tag_lat
-                else:
-                    remap_lat = rc_lat + ((probe_lat + queue) + transfer)
-                    latency = remap_lat if remap_lat > tag_lat else tag_lat
-            else:
-                latency = tag_lat if stage_meta else meta_hit
-            if dev:
-                queue, transfer = (
-                    fast_transfer(now, nbytes, True)
-                    if dev == 1
-                    else slow_transfer(now, nbytes, True)
-                )
-                latency += (arr + queue) + transfer
-                if decomp:
-                    latency += decomp
-            cycles += latency / mlp
-        self._now = now
-        return cycles
 
     def _dispatch(
         self,
@@ -1850,17 +1284,18 @@ class BaryonController:
         staged_sub = None
         if self.config.stage.enabled:
             if self.faults is None:
-                # O(1) columnar probes replace the way x slot scans. The
-                # Rule-3 and no-overlap invariants (ColumnarState.verify)
-                # make the dict answers identical to the first-match
-                # scans; with fault injection armed the scans stay, since
-                # lookup_block draws the corruption sample per match.
-                ref = self.columnar.stage_block.get(block_id)
+                # O(1) probe indices replace the way x slot scans. The
+                # Rule-3 and no-overlap invariants
+                # (StageArea.verify_probe_index) make the dict answers
+                # identical to the first-match scans; with fault injection
+                # armed the scans stay, since lookup_block draws the
+                # corruption sample per match.
+                ref = self.stage.stage_block.get(block_id)
                 if ref is not None:
                     way = ref[0]
                     entry_obj = self.stage.tags.entries[stage_set][way]
                     staged_block = (way, entry_obj)
-                    hit = self.columnar.stage_sub.get(
+                    hit = self.stage.stage_sub.get(
                         block_id * self._g_sub_per_block + sub_idx
                     )
                     if hit is not None:
@@ -1997,9 +1432,9 @@ class BaryonController:
         the access now pays the off-chip table probe, as any miss would.
 
         Delegates to :meth:`RemapCache.repair`, which fuses the old
-        invalidate + fault-paused refill into one pass over the set (the
-        columnar occupancy column replaces the re-probe); a paused access
-        never consulted the injector, so no pause/resume is needed here.
+        invalidate + fault-paused refill into one pass over the set; a
+        paused access never consulted the injector, so no pause/resume is
+        needed here.
         """
         self.remap_cache.repair(super_id)
         self.recovery.record("remap_cache_repairs", site="remap_cache")

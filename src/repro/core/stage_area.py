@@ -16,7 +16,7 @@ Mechanics only — the *policies* (what to fetch, when to commit) live in
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.address import AddressMapper
 from repro.common.config import Geometry, StageConfig
@@ -53,11 +53,18 @@ class StageArea:
         #: tag corruption surfaces on block lookups; the controller flushes
         #: and quarantines the affected entry.
         self.faults = None
-        #: Optional :class:`~repro.core.columnar.ColumnarState` mirror.
-        #: Mutation sites notify it so the columnar arrays and the O(1)
-        #: probe indices stay exact; the per-access LRU/credit columns are
-        #: write-behind (see ``ColumnarState.sync_deferred_columns``).
-        self.columnar = None
+        # O(1) probe indices answering the associative lookups with one
+        # dict probe, maintained at the slot mutation sites
+        # (:meth:`insert_range`, :meth:`remove_slot`, :meth:`invalidate`).
+        # ``stage_sub`` maps ``block_id * sub_blocks_per_block + sub_index``
+        # to the (way, slot) covering it — :meth:`lookup_sub_block`'s
+        # answer, unique because ranges never overlap. ``stage_block``
+        # maps ``block_id`` to ``[way, staged_slot_count]``; presence is
+        # :meth:`lookup_block`'s verdict (Rule 3: one way per block).
+        self.stage_sub: Dict[int, Tuple[int, int]] = {}
+        self.stage_block: Dict[int, List[int]] = {}
+        self._spb = geometry.sub_blocks_per_block
+        self._bps = geometry.super_block_blocks
 
     # -- lookup ------------------------------------------------------------
     def lookup_super(self, super_id: int) -> List[Tuple[int, StageTagEntry]]:
@@ -177,8 +184,6 @@ class StageArea:
         entry.miss_count = 0
         # A fresh entry enters at MRU; existing dense ranks 0..n-2 stand.
         entry.lru = self._valid_count(set_index) - 1
-        if self.columnar is not None:
-            self.columnar.stage_allocate(set_index, way, entry)
         self.stats.inc("allocations")
         return set_index, way
 
@@ -210,8 +215,10 @@ class StageArea:
         entry.lru = 0
         entry.fifo = 0
         entry.miss_count = 0
-        if self.columnar is not None:
-            self.columnar.stage_invalidate(set_index, way, snapshot)
+        base = (snapshot.tag * self.num_sets + set_index) * self._bps
+        for slot in snapshot.slots:
+            if slot is not None:
+                self._unindex(base + slot.blk_off, slot)
         self.stats.inc("invalidations")
         return snapshot
 
@@ -223,8 +230,20 @@ class StageArea:
         if free is None:
             raise LayoutError("insert_range into a full stage block")
         entry.slots[free] = slot
-        if self.columnar is not None:
-            self.columnar.stage_insert(set_index, way, free, slot, entry.tag)
+        block_id = (entry.tag * self.num_sets + set_index) * self._bps + slot.blk_off
+        location = (way, free)
+        for key in self._slot_keys(block_id, slot):
+            self.stage_sub[key] = location
+        ref = self.stage_block.get(block_id)
+        if ref is None:
+            self.stage_block[block_id] = [way, 1]
+        else:
+            # Latest insert wins the way field: a block-level regroup
+            # interleaves remove/insert while moving a block's slots to a
+            # freshly allocated way, so the way settles on the destination
+            # (Rule 3 holds again at the end).
+            ref[0] = way
+            ref[1] += 1
         if self.obs.enabled:
             self.obs.emit(
                 "stage_insert", set=set_index, way=way, blk_off=slot.blk_off,
@@ -242,8 +261,6 @@ class StageArea:
             index = (entry.fifo + step) % n
             if slots[index] is not None:
                 entry.fifo = (index + 1) % n
-                if self.columnar is not None:
-                    self.columnar.stage_fifo(set_index, way, entry.fifo)
                 return index
         raise LayoutError("FIFO victim requested from an empty stage block")
 
@@ -253,9 +270,68 @@ class StageArea:
         if slot is None:
             raise LayoutError("removing an empty slot")
         entry.slots[slot_index] = None
-        if self.columnar is not None:
-            self.columnar.stage_remove(set_index, way, slot_index, slot, entry.tag)
+        self._unindex(
+            (entry.tag * self.num_sets + set_index) * self._bps + slot.blk_off, slot
+        )
         return slot
+
+    def _slot_keys(self, block_id: int, slot: RangeSlot) -> range:
+        """``stage_sub`` keys of the sub-blocks one slot covers (a zero
+        slot covers its whole block)."""
+        base = block_id * self._spb
+        if slot.zero:
+            return range(base, base + self._spb)
+        return range(base + slot.sub_start, base + slot.sub_start + slot.cf)
+
+    def _unindex(self, block_id: int, slot: RangeSlot) -> None:
+        """Drop one removed slot's keys from the probe indices."""
+        pop = self.stage_sub.pop
+        for key in self._slot_keys(block_id, slot):
+            pop(key, None)
+        ref = self.stage_block.get(block_id)
+        if ref is not None:
+            ref[1] -= 1
+            if ref[1] <= 0:
+                del self.stage_block[block_id]
+
+    def verify_probe_index(self) -> None:
+        """Assert the probe indices agree with the scanning lookups.
+
+        Test-only (O(state)): every staged sub-block must resolve to the
+        same (way, slot) through ``stage_sub`` as through
+        :meth:`lookup_sub_block`, every staged block to its way through
+        ``stage_block`` and :meth:`lookup_block`, and neither index may
+        hold a key the tag array no longer stages. Raises
+        ``AssertionError`` on any divergence.
+        """
+        expected_sub: Dict[int, Tuple[int, int]] = {}
+        expected_block: Dict[int, List[int]] = {}
+        for set_index, row in enumerate(self.tags.entries):
+            for way, entry in enumerate(row):
+                if not entry.valid:
+                    continue
+                super_id = entry.tag * self.num_sets + set_index
+                for slot_index, slot in enumerate(entry.slots):
+                    if slot is None:
+                        continue
+                    block_id = super_id * self._bps + slot.blk_off
+                    ref = expected_block.setdefault(block_id, [way, 0])
+                    assert ref[0] == way, ("rule-3 violation", block_id)
+                    ref[1] += 1
+                    for key in self._slot_keys(block_id, slot):
+                        assert key not in expected_sub, ("overlap", key)
+                        expected_sub[key] = (way, slot_index)
+                        sub = key - block_id * self._spb
+                        found = self.lookup_sub_block(super_id, slot.blk_off, sub)
+                        assert found is not None and (found[0], found[2]) == (
+                            way, slot_index
+                        ), ("lookup_sub_block disagrees", key)
+                    found_block = self.lookup_block(super_id, slot.blk_off)
+                    assert found_block is not None and found_block[0] == way, (
+                        "lookup_block disagrees", block_id
+                    )
+        assert self.stage_sub == expected_sub, "stage_sub probe index stale"
+        assert self.stage_block == expected_block, "stage_block probe index stale"
 
     def mark_dirty(self, set_index: int, way: int, slot_index: int) -> None:
         """Mark one staged range dirty in place (stage-hit write path)."""
@@ -263,8 +339,6 @@ class StageArea:
         if slot is None:
             raise LayoutError("dirtying an empty slot")
         slot.dirty = True
-        if self.columnar is not None:
-            self.columnar.stage_mark_dirty(set_index, way, slot_index)
 
     # -- miss statistics for the commit model ---------------------------------
     def record_set_access(self, set_index: int) -> None:
@@ -287,8 +361,6 @@ class StageArea:
         self.mru_miss_cnt[set_index] >>= 1
         for entry in self.tags.entries[set_index]:
             entry.miss_count >>= 1
-        if self.columnar is not None:
-            self.columnar.stage_aging(set_index)
         self.stats.inc("agings")
 
     def record_block_miss(self, set_index: int, way: Optional[int]) -> None:
@@ -302,8 +374,6 @@ class StageArea:
         if way is not None:
             entry = self.tags.entry(set_index, way)
             entry.miss_count = min(cap, entry.miss_count + 1)
-            if self.columnar is not None:
-                self.columnar.stage_block_miss(set_index, way, entry.miss_count)
             if self.mru_way(set_index) == way:
                 self.mru_miss_cnt[set_index] = min(cap, self.mru_miss_cnt[set_index] + 1)
         else:

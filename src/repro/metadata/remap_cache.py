@@ -48,10 +48,6 @@ class RemapCache:
         #: corrupted line raises before any hit/miss accounting; recovery
         #: invalidates and refills with injection paused.
         self.faults = None
-        #: Optional :class:`~repro.core.columnar.ColumnarState` mirror.
-        #: Tracks per-set occupancy so :meth:`repair` sizes the refill
-        #: without re-probing the set, and invalidations stay exact.
-        self.columnar = None
 
     def _split(self, super_block_id: int) -> tuple[int, int]:
         return super_block_id % self.num_sets, super_block_id // self.num_sets
@@ -106,10 +102,6 @@ class RemapCache:
                 victim_tag = next(iter(lines))
                 del lines[victim_tag]
                 self._n_evictions += 1
-            elif self.columnar is not None:
-                # Fill without eviction: the set gains a line (an evict +
-                # fill pair leaves the occupancy column unchanged).
-                self.columnar.rc_occupancy[index] += 1
             line = CacheLine(tag)
             cache_set._clock += 1
             line.counter = cache_set._clock
@@ -122,23 +114,20 @@ class RemapCache:
         The deferred-batch server inlines :meth:`access` (minus faults
         and tracing, which disable batching altogether) and needs the
         cache's mutable internals hoisted once per run. Returns
-        ``(sets, num_sets, hit_ratio, columnar)``. An inline probe must
-        preserve this class's transitions exactly:
+        ``(sets, num_sets, hit_ratio)``. An inline probe must preserve
+        this class's transitions exactly:
 
         * hit — bump the set ``_clock``, stamp ``line.counter``, and
           re-insert the tag (``lines[tag] = lines.pop(tag)``) so dict
           order stays LRU→MRU;
         * miss at capacity — evict ``next(iter(lines))`` (the LRU);
-        * miss with room — bump ``columnar.rc_occupancy[index]`` when a
-          columnar mirror is attached (an evict+fill pair leaves it
-          unchanged);
         * fill — fresh ``CacheLine(tag)`` stamped from the set clock.
 
         Hit/miss/eviction outcomes must be tallied by the caller and
         folded back through :meth:`credit_probes` before anything reads
         ``stats`` or ``hit_ratio``.
         """
-        return self._sets, self.num_sets, self.hit_ratio, self.columnar
+        return self._sets, self.num_sets, self.hit_ratio
 
     def credit_probes(
         self, total: int, hits: int, misses: int, evictions: int
@@ -162,17 +151,15 @@ class RemapCache:
 
     def invalidate(self, super_block_id: int) -> None:
         index, tag = self._split(super_block_id)
-        dropped = self._sets[index].invalidate(tag)
-        if dropped is not None and self.columnar is not None:
-            self.columnar.rc_occupancy[index] -= 1
+        self._sets[index].invalidate(tag)
 
     def repair(self, super_block_id: int) -> bool:
         """Drop and refill one (corrupted) line in a single pass.
 
         Fuses the old ``invalidate`` + fault-paused ``access`` repair
         sequence: the set index and tag are split once and the refill
-        reuses the columnar occupancy column instead of re-probing the
-        set. Draw-for-draw identical to the two-step sequence — a paused
+        sizes the set from its line dict instead of re-probing it.
+        Draw-for-draw identical to the two-step sequence — a paused
         access never consults the fault injector, the dropped line makes
         the refill an unconditional miss, and all hit/miss/eviction
         accounting matches a plain missing probe. Returns ``False``: the
@@ -182,20 +169,14 @@ class RemapCache:
         tag = super_block_id // self.num_sets
         cache_set = self._sets[index]
         lines = cache_set.lines
-        col = self.columnar
-        dropped = lines.pop(tag, None)
-        if dropped is not None and col is not None:
-            col.rc_occupancy[index] -= 1
+        lines.pop(tag, None)
         self.hit_ratio.total += 1
         if self.obs.enabled:
             self.obs.emit("remap_cache", super=super_block_id, hit=False)
         self._n_misses += 1
-        occupancy = int(col.rc_occupancy[index]) if col is not None else len(lines)
-        if occupancy >= cache_set.ways:
+        if len(lines) >= cache_set.ways:
             del lines[next(iter(lines))]
             self._n_evictions += 1
-        elif col is not None:
-            col.rc_occupancy[index] += 1
         line = CacheLine(tag)
         cache_set._clock += 1
         line.counter = cache_set._clock

@@ -7,7 +7,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SimulationConfig
-from repro.core.columnar import CLS_DECLINE_STAGING_FETCH, DECLINE_REASONS
 from repro.devices.energy import EnergyModel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import NULL_PROFILER, PhaseProfiler
@@ -42,13 +41,15 @@ class SystemSimulator:
     When the controller advertises ``supports_batching`` (no fault
     injection, recovery, shadow checker, phase tracker or event tracing
     attached) and neither profiling nor metrics are active, the batched
-    loop additionally *defers* the timing of safe LLC-miss reads: runs of
-    consecutive misses are classified and state-applied eagerly through
-    ``BaryonController.access_deferred`` and their channel timing replays
-    in one ``BaryonController.access_batch`` call. Any unsafe access
-    (writes, staging fetches, evictions) flushes the pending run and
-    falls back to the scalar ``access`` call, so results — cycles,
-    counters, energy — stay bit-identical to both reference loops.
+    loop additionally *defers* the timing of LLC misses and writebacks
+    through the controller's one deferred contract, the
+    ``(serve, flush, replay)`` triple from ``make_deferred_server()``:
+    ``serve`` applies each access's state effects eagerly in trace order
+    and returns an op record, and ``replay`` runs the channel timing of a
+    whole span of ops in one call. An access ``serve`` declines flushes
+    the pending span and takes the scalar ``access`` call, so results —
+    cycles, counters, energy — stay bit-identical to both reference
+    loops.
 
     Observability (all optional, all free when absent):
 
@@ -96,7 +97,6 @@ class SystemSimulator:
         self._progress_every = max(1, progress_every)
         self._run_span = None
         self._deferred = False
-        self._classifier = None
         self._server = None
         self._fast_path = None
         self.cycles = 0.0
@@ -260,25 +260,9 @@ class SystemSimulator:
         writes = trace.writes
         igaps = trace.igaps
         cores = trace.cores
-        # Bulk verdicts for the deferred path: the classifier keeps the
-        # numpy trace arrays and gather-classifies chunks of future
-        # indices ahead of the loop (see repro.core.columnar). Controllers
-        # without one (or non-numpy traces) classify per op as before.
-        make = getattr(self.controller, "make_run_classifier", None)
-        self._classifier = (
-            make(addrs, writes) if (self._deferred and make is not None) else None
-        )
-        # The inlined serve/flush closure pair (tallied counters, inline
-        # LRU/row-buffer transitions); None falls back to access_deferred.
-        # The server holds the classifier's dirty set so coded verdicts
-        # are revalidated against post-gather mutations inside serve().
-        make_server = getattr(self.controller, "make_deferred_server", None)
+        # The controller's deferred serve/flush/replay closures.
         self._server = (
-            make_server(
-                None if self._classifier is None else self._classifier.dirty_blocks
-            )
-            if (self._deferred and make_server is not None)
-            else None
+            self.controller.make_deferred_server() if self._deferred else None
         )
         # Closure form of the hierarchy walk (attribute binds hoisted,
         # tallied hit counters); None falls back to the bound methods.
@@ -447,27 +431,16 @@ class SystemSimulator:
     ) -> None:
         """The deferred-timing variant of :meth:`_batched_span`.
 
-        Safe LLC misses — reads, write hits that provably do not
-        overflow, and dirty writebacks of batch-safe blocks — are
-        state-applied eagerly (in trace order) and their op records
-        accumulate in ``ops`` together with the interleaved core-side
-        cycle increments; one ``access_batch`` call replays the run,
-        evolving the channel pools and the ``cycles`` accumulator in the
-        scalar loop's exact float operation order. Unsafe accesses —
-        staging cases, overflowing or zero-breaking writes, block-filling
-        writebacks — first flush the pending run (so ``cycles`` is
-        current) and then take the scalar ``controller.access`` call with
-        that clock, exactly as the plain batched loop would.
-
-        With a run classifier attached, membership verdicts for chunks of
-        future trace indices are precomputed in one numpy gather pass:
-        accepted verdicts route through the lean ``access_classified``
-        serve, pre-resolved declines skip classification entirely (the
-        per-reason decline counter is charged here), and verdicts whose
-        block mutated since the gather (``dirty`` set) or that need the
-        oracle's per-op probes fall back to ``access_deferred``. Either
-        way every op is still served in exact trace order, so state and
-        cycles stay bit-identical.
+        LLC misses and dirty writebacks go through the controller's
+        ``serve``: accepted ones are state-applied eagerly (in trace
+        order) and their op records accumulate in ``ops`` together with
+        the interleaved core-side cycle increments; one ``replay`` call
+        evolves the channel pools and the ``cycles`` accumulator in the
+        scalar loop's exact float operation order. A declined access
+        first replays the pending ops (so ``cycles`` is current) and
+        flushes the server's tallied counters, then takes the scalar
+        ``controller.access`` call with that clock, exactly as the plain
+        batched loop would.
         """
         cfg = self.config
         base_cpi = cfg.base_cpi
@@ -481,27 +454,9 @@ class SystemSimulator:
             access_fast = hierarchy.access_fast
             install_fast = hierarchy.install_llc_fast
             hier_flush = None
-        controller = self.controller
-        ctrl_access = controller.access
-        ctrl_deferred = controller.access_deferred
-        ctrl_batch = controller.access_batch
+        ctrl_access = self.controller.access
+        serve, server_flush, replay = self._server
         l1_div = hierarchy.config.l1d.latency_cycles / threads
-
-        server = self._server
-        if server is not None:
-            serve, server_flush, ctrl_batch = server
-        else:
-            serve = server_flush = None
-        classifier = self._classifier
-        if classifier is not None:
-            declines = controller.deferred_declines
-            reason_of = DECLINE_REASONS
-            sf_code = CLS_DECLINE_STAGING_FETCH
-            dirty = classifier.dirty_blocks
-            block_size = classifier.block_size
-            chunk = classifier.chunk
-            codes = None
-            cls_base = cls_end = start
 
         cycles = self.cycles
         instructions = self.instructions
@@ -509,12 +464,10 @@ class SystemSimulator:
         append = ops.append
         # zip over list slices: one C-level iteration replaces four
         # per-element list index reads in the hottest Python loop.
-        i = start - 1
         for addr, is_write, gap, core in zip(
             addrs[start:stop], writes[start:stop],
             igaps[start:stop], cores[start:stop],
         ):
-            i += 1
             instructions += gap + 1
             if gap:
                 g = gap * base_cpi / threads
@@ -535,31 +488,7 @@ class SystemSimulator:
             else:
                 cycles += h
             if outcome[2]:  # LLC miss: the controller serves it.
-                if serve is None:
-                    op = ctrl_deferred(addr, is_write)
-                elif classifier is None:
-                    op = serve(addr, is_write, 0, 0)
-                else:
-                    if i >= cls_end:
-                        cls_base = i
-                        cls_end = min(stop, i + chunk)
-                        codes, auxes = classifier.classify(cls_base, cls_end)
-                    code = codes[i - cls_base]
-                    if code > 0:
-                        # serve() rechecks the dirty set itself (it already
-                        # has block_id in hand) before trusting the verdict.
-                        op = serve(addr, is_write, code, auxes[i - cls_base])
-                    elif code == 0:
-                        op = serve(addr, is_write, 0, 0)
-                    elif code == sf_code or addr // block_size in dirty:
-                        # Staging fetches serve inline (the closure runs
-                        # the real fetch-and-stage with its transfers
-                        # captured for replay); stale pre-resolved
-                        # declines re-classify inline the same way.
-                        op = serve(addr, is_write, 0, 0)
-                    else:
-                        declines[reason_of[code]] += 1
-                        op = None
+                op = serve(addr, is_write)
                 if op is not None:
                     append(op)
                     pls = op[6]
@@ -567,25 +496,19 @@ class SystemSimulator:
                         for line_addr in pls:
                             wb = install_fast(line_addr)
                             if wb:
-                                wop = (
-                                    serve(wb, True, 0, 0)
-                                    if serve is not None
-                                    else ctrl_deferred(wb, True)
-                                )
+                                wop = serve(wb, True)
                                 if wop is not None:
                                     append(wop)
                                 else:
-                                    cycles = ctrl_batch(ops, cycles, mlp)
+                                    cycles = replay(ops, cycles, mlp)
                                     ops.clear()
-                                    if server_flush is not None:
-                                        server_flush()
+                                    server_flush()
                                     ctrl_access(wb, True, cycles)
                 else:
                     if ops:
-                        cycles = ctrl_batch(ops, cycles, mlp)
+                        cycles = replay(ops, cycles, mlp)
                         ops.clear()
-                    if server_flush is not None:
-                        server_flush()
+                    server_flush()
                     mem = ctrl_access(addr, is_write, cycles)
                     if not is_write:
                         # Writes are posted; only reads stall the core.
@@ -601,27 +524,21 @@ class SystemSimulator:
                 for wb in wbs:
                     # Writebacks are posted ops: a deferred one replays at
                     # the exact clock the scalar call would have seen, so
-                    # batch-safe writebacks extend the run instead of
+                    # accepted writebacks extend the span instead of
                     # flushing it.
-                    wop = (
-                        serve(wb, True, 0, 0)
-                        if serve is not None
-                        else ctrl_deferred(wb, True)
-                    )
+                    wop = serve(wb, True)
                     if wop is not None:
                         append(wop)
                     else:
                         if ops:
-                            cycles = ctrl_batch(ops, cycles, mlp)
+                            cycles = replay(ops, cycles, mlp)
                             ops.clear()
-                        if server_flush is not None:
-                            server_flush()
+                        server_flush()
                         ctrl_access(wb, True, cycles)
         if ops:
-            cycles = ctrl_batch(ops, cycles, mlp)
+            cycles = replay(ops, cycles, mlp)
             ops.clear()
-        if server_flush is not None:
-            server_flush()
+        server_flush()
         if hier_flush is not None:
             hier_flush()
         self.cycles = cycles

@@ -244,209 +244,125 @@ def _assert_twin_match(scalar_ctrl, twin_ctrl, cycles: float,
             f"{path} seam diverged in cycles: {cycles} vs {twin_cycles}",
             kind="batched_divergence", location="cycles",
         )
-    columnar = getattr(twin_ctrl, "columnar", None)
-    if columnar is not None:
-        columnar.verify()
+    stage = getattr(twin_ctrl, "stage", None)
+    if stage is not None:
+        try:
+            stage.verify_probe_index()
+        except AssertionError as err:
+            raise OracleViolation(
+                f"{path} twin's stage probe index diverged: {err}",
+                kind="batched_divergence", location="stage.probe_index",
+            ) from err
 
 
-def run_batched_case(config_kwargs: Dict, trace: List[TraceRecord], seed: int) -> None:
-    """Replay one fuzz case across the deferred-batch seam; raise on drift.
+def _server_replay(
+    controller, trace: List[TraceRecord], mlp: float,
+    rng: Optional[random.Random] = None,
+) -> float:
+    """Replay through the deferred ``(serve, flush, replay)`` server the
+    way ``SystemSimulator._deferred_span`` drives it; returns the
+    finishing clock.
 
-    The batched controller configuration is *forced*: fault injection off,
-    the synthetic compressibility oracle on — exactly the shape for which
-    ``BaryonController.supports_batching`` holds. One controller replays
-    the trace through plain ``access`` calls; a twin replays it the way
-    the simulator's deferred span does — ``access_deferred`` applies state
-    eagerly in trace order and ``access_batch`` replays the channel timing
-    at every unsafe-access flush. Both must finish with bit-identical
-    counters (controller, devices, remap cache) and the same clock, and
-    the batched twin's columnar arena must verify against its object
-    state. Raises :class:`OracleViolation` (``kind="batched_divergence"``)
-    otherwise.
+    Accepted ops accumulate and replay at the next decline, which first
+    flushes the server and then takes the scalar ``access`` call. With
+    ``rng``, random extra replay/flush boundaries are forced mid-run —
+    the same write-back points progress chunking introduces.
     """
-    from repro.core import BaryonController
-
-    config = make_tiny_config(**config_kwargs)
-    scalar_ctrl = BaryonController(config, seed=seed)
-    batched_ctrl = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
-    if not getattr(batched_ctrl, "supports_batching", False):
-        raise OracleViolation(
-            "forced batched configuration does not support batching",
-            kind="batched_divergence", location="supports_batching",
-        )
-    mlp = 4.0
-    cycles = _scalar_replay(scalar_ctrl, trace, mlp)
-
-    b_cycles = 0.0
-    ops: List = []
-    deferred = batched_ctrl.access_deferred
-    batch = batched_ctrl.access_batch
-    for addr, is_write in trace:
-        op = deferred(addr, is_write)
-        if op is not None:
-            ops.append(op)
-            continue
-        if ops:
-            b_cycles = batch(ops, b_cycles, mlp)
-            ops.clear()
-        mem = batched_ctrl.access(addr, is_write, b_cycles)
-        if not is_write:
-            b_cycles += mem.latency_cycles / mlp
-    if ops:
-        b_cycles = batch(ops, b_cycles, mlp)
-
-    _assert_twin_match(scalar_ctrl, batched_ctrl, cycles, b_cycles, "batched")
-
-
-def run_classified_case(
-    config_kwargs: Dict,
-    trace: List[TraceRecord],
-    seed: int,
-    rng: random.Random,
-) -> bool:
-    """Replay one fuzz case through the vectorized classifier + server.
-
-    This is the simulator's actual hot path (``make_run_classifier``
-    gathers bulk verdicts, ``make_deferred_server`` serves them inline)
-    driven the way ``SystemSimulator._deferred_span`` drives it — but
-    under adversarial scheduling: the gather chunk is randomized down to
-    a single op (so chunk boundaries land on and around declines), and
-    random span boundaries force batch-replay/flush points mid-run, the
-    same write-back points progress chunking introduces. Counters,
-    cycles and the columnar arena must still match the plain scalar
-    replay bit for bit.
-
-    Returns ``True`` when the twin check ran. Configurations for which
-    the controller declines to build a server (e.g. a non-LRU fast
-    area) are skipped with ``False`` — the simulator would fall back to
-    the per-op seam there, which :func:`run_batched_case` covers.
-    """
-    import numpy as np
-
-    from repro.core import BaryonController
-    from repro.core.columnar import CLS_DECLINE_STAGING_FETCH, DECLINE_REASONS
-
-    v_ctrl = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
-    if not getattr(v_ctrl, "supports_batching", False):
-        raise OracleViolation(
-            "forced batched configuration does not support batching",
-            kind="batched_divergence", location="supports_batching",
-        )
-    addrs = np.asarray([addr for addr, _ in trace], dtype=np.int64)
-    writes = np.asarray([w for _, w in trace], dtype=np.bool_)
-    classifier = v_ctrl.make_run_classifier(addrs, writes)
-    server = v_ctrl.make_deferred_server(
-        None if classifier is None else classifier.dirty_blocks
-    )
-    if server is None:
-        return False
-    serve, server_flush, batch = server
-    mlp = 4.0
-    scalar_ctrl = BaryonController(make_tiny_config(**config_kwargs), seed=seed)
-    cycles = _scalar_replay(scalar_ctrl, trace, mlp)
-    if classifier is not None:
-        # Tiny chunks force verdict boundaries onto (and right after)
-        # decline sites; large ones exercise verdict staleness.
-        classifier.chunk = rng.choice([1, 2, 3, 5, 8, 32, 4096])
-        declines = v_ctrl.deferred_declines
-        reason_of = DECLINE_REASONS
-        sf_code = CLS_DECLINE_STAGING_FETCH
-        dirty = classifier.dirty_blocks
-        block_size = classifier.block_size
-        chunk = classifier.chunk
-        codes = auxes = None
+    serve, flush, replay = controller.make_deferred_server()
     n = len(trace)
-    # Forced replay boundaries, as progress chunking would place them.
-    boundary = rng.randrange(1, n + 1) if rng.random() < 0.7 else n + 1
-
-    v_cycles = 0.0
+    boundary = n + 1
+    if rng is not None and rng.random() < 0.7:
+        boundary = rng.randrange(1, n + 1)
+    cycles = 0.0
     ops: List = []
-    cls_base = cls_end = 0
     for i, (addr, is_write) in enumerate(trace):
         if i == boundary:
             if ops:
-                v_cycles = batch(ops, v_cycles, mlp)
+                cycles = replay(ops, cycles, mlp)
                 ops.clear()
-            server_flush()
-            cls_end = i  # span boundary: the next op re-gathers
+            flush()
             boundary += rng.randrange(1, max(2, n // 4))
-        if classifier is None:
-            op = serve(addr, is_write, 0, 0)
-        else:
-            if i >= cls_end:
-                cls_base = i
-                cls_end = min(n, i + chunk)
-                codes, auxes = classifier.classify(cls_base, cls_end)
-            code = codes[i - cls_base]
-            if code > 0:
-                op = serve(addr, is_write, code, auxes[i - cls_base])
-            elif code == 0:
-                op = serve(addr, is_write, 0, 0)
-            elif code == sf_code or addr // block_size in dirty:
-                op = serve(addr, is_write, 0, 0)
-            else:
-                declines[reason_of[code]] += 1
-                op = None
+        op = serve(addr, is_write)
         if op is not None:
             ops.append(op)
             continue
         if ops:
-            v_cycles = batch(ops, v_cycles, mlp)
+            cycles = replay(ops, cycles, mlp)
             ops.clear()
-        server_flush()
-        mem = v_ctrl.access(addr, is_write, v_cycles)
+        flush()
+        mem = controller.access(addr, is_write, cycles)
         if not is_write:
-            v_cycles += mem.latency_cycles / mlp
+            cycles += mem.latency_cycles / mlp
     if ops:
-        v_cycles = batch(ops, v_cycles, mlp)
-    server_flush()
+        cycles = replay(ops, cycles, mlp)
+    flush()
+    return cycles
 
-    _assert_twin_match(scalar_ctrl, v_ctrl, cycles, v_cycles, "classified")
-    return True
+
+def _run_server_twin(make_controller, trace: List[TraceRecord],
+                     rng: Optional[random.Random], path: str) -> None:
+    """One scalar replay vs one deferred-server replay of fresh twins."""
+    scalar_ctrl = make_controller()
+    twin_ctrl = make_controller()
+    if not twin_ctrl.supports_batching:
+        raise OracleViolation(
+            f"forced {path} configuration does not support batching",
+            kind="batched_divergence", location="supports_batching",
+        )
+    mlp = 4.0
+    cycles = _scalar_replay(scalar_ctrl, trace, mlp)
+    twin_cycles = _server_replay(twin_ctrl, trace, mlp, rng)
+    _assert_twin_match(scalar_ctrl, twin_ctrl, cycles, twin_cycles, path)
+
+
+def run_batched_case(
+    config_kwargs: Dict,
+    trace: List[TraceRecord],
+    seed: int,
+    rng: Optional[random.Random] = None,
+) -> None:
+    """Replay one fuzz case through Baryon's deferred server; raise on drift.
+
+    The configuration is *forced*: fault injection off, the synthetic
+    compressibility oracle on — exactly the shape for which
+    ``BaryonController.supports_batching`` holds, for every fast-area
+    policy (LRU, FIFO fully-associative, flat). One controller replays
+    the trace through plain ``access`` calls; a twin replays it through
+    the ``(serve, flush, replay)`` server, under random forced flush
+    boundaries when ``rng`` is given. Both must finish with
+    bit-identical counters (controller, devices, remap cache) and the
+    same clock, and the twin's stage probe index must agree with its
+    scanning lookups. Raises :class:`OracleViolation`
+    (``kind="batched_divergence"``) otherwise.
+    """
+    from repro.core import BaryonController
+
+    _run_server_twin(
+        lambda: BaryonController(make_tiny_config(**config_kwargs), seed=seed),
+        trace, rng, "batched",
+    )
 
 
 def run_simple_case(
-    config_kwargs: Dict, trace: List[TraceRecord], seed: int
+    config_kwargs: Dict,
+    trace: List[TraceRecord],
+    seed: int,
+    rng: Optional[random.Random] = None,
 ) -> None:
-    """Drive the ``simple`` baseline's deferred seam against its scalar twin.
+    """Drive the ``simple`` baseline's deferred server against its scalar
+    twin.
 
-    The simple design batches its commit-hit stream (block misses
-    decline with no state applied), so the same twin-controller
+    The simple design serves its commit-hit stream deferred (block
+    misses decline with no state applied), so the same twin-controller
     discipline applies: counters, device traffic, remap-cache stats and
     the clock must be bit-identical.
     """
     from repro.baselines.simple_cache import SimpleCache
 
-    config = make_tiny_config(**config_kwargs)
-    scalar_ctrl = SimpleCache(config)
-    batched_ctrl = SimpleCache(make_tiny_config(**config_kwargs))
-    if not getattr(batched_ctrl, "supports_batching", False):
-        raise OracleViolation(
-            "simple baseline unexpectedly declines batching",
-            kind="batched_divergence", location="supports_batching",
-        )
-    mlp = 4.0
-    cycles = _scalar_replay(scalar_ctrl, trace, mlp)
-
-    b_cycles = 0.0
-    ops: List = []
-    deferred = batched_ctrl.access_deferred
-    batch = batched_ctrl.access_batch
-    for addr, is_write in trace:
-        op = deferred(addr, is_write)
-        if op is not None:
-            ops.append(op)
-            continue
-        if ops:
-            b_cycles = batch(ops, b_cycles, mlp)
-            ops.clear()
-        mem = batched_ctrl.access(addr, is_write, b_cycles)
-        if not is_write:
-            b_cycles += mem.latency_cycles / mlp
-    if ops:
-        b_cycles = batch(ops, b_cycles, mlp)
-
-    _assert_twin_match(scalar_ctrl, batched_ctrl, cycles, b_cycles, "simple")
+    _run_server_twin(
+        lambda: SimpleCache(make_tiny_config(**config_kwargs)),
+        trace, rng, "simple",
+    )
 
 
 def run_fuzz(
@@ -459,11 +375,10 @@ def run_fuzz(
     """Run ``iterations`` seeded fuzz cases; collect (don't raise) failures.
 
     With ``batched=True`` every iteration additionally replays its trace
-    across the deferred-batch seam three ways, each against a fresh
-    scalar twin: the per-op pair (:func:`run_batched_case`), the
-    vectorized classifier + server under randomized chunk sizes and
-    forced flush boundaries (:func:`run_classified_case`), and the
-    ``simple`` baseline's seam (:func:`run_simple_case`).
+    through the deferred server twice, each against a fresh scalar twin
+    and under random forced flush boundaries: Baryon's server
+    (:func:`run_batched_case`) and the ``simple`` baseline's
+    (:func:`run_simple_case`).
     """
     report = FuzzReport()
     for iteration in range(iterations):
@@ -477,11 +392,9 @@ def run_fuzz(
         try:
             controller = run_case(config_kwargs, trace, seed, inject_bug)
             if batched:
-                run_batched_case(config_kwargs, trace, seed)
+                run_batched_case(config_kwargs, trace, seed, rng)
                 report.stats.inc("fuzz_batched_checks")
-                if run_classified_case(config_kwargs, trace, seed, rng):
-                    report.stats.inc("fuzz_classifier_checks")
-                run_simple_case(config_kwargs, trace, seed)
+                run_simple_case(config_kwargs, trace, seed, rng)
                 report.stats.inc("fuzz_simple_checks")
         except OracleViolation as error:
             report.stats.inc("fuzz_violations")

@@ -146,21 +146,6 @@ class TestRemapCacheBehaviour:
         assert not cache.contains(0)  # LRU victim
         assert cache.stats.get("evictions") == 1
 
-    def test_repair_keeps_columnar_occupancy_exact(self):
-        """With the columnar mirror attached, repair under a full set
-        must leave the occupancy column exact (verified arena-wide)."""
-        from repro.validation import make_tiny_config
-
-        ctrl = BaryonController(make_tiny_config(), seed=3)
-        rc = ctrl.remap_cache
-        target = 5
-        for way in range(rc.ways):  # fill target's set
-            rc.access(target + way * rc.num_sets)
-        assert rc.repair(target) is False
-        ctrl.columnar.verify()
-        assert rc.repair(target + rc.ways * rc.num_sets) is False
-        ctrl.columnar.verify()
-
     def test_storage_is_32kb_at_table1_geometry(self):
         """256 sets x 8 ways x 16 B entry data = 32 kB (plus 8 kB tags)."""
         cache = RemapCache(num_sets=256, ways=8, entries_per_line=8)

@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import build_controller
 from repro.common.config import CacheGeometry, HierarchyConfig, SimulationConfig
 from repro.core import BaryonController
 from repro.sim import SystemSimulator
@@ -32,22 +33,35 @@ def _make_trace(workload_cls, config, n, seed, **wl_kwargs):
     ).generate(n)
 
 
-def _run(workload_cls, *, scalar, n=3000, seed=2, **wl_kwargs):
+def _run(workload_cls, *, scalar, design="baryon", n=3000, seed=2, **wl_kwargs):
     config = make_small_config()
     sim_config = make_small_sim_config()
     trace = _make_trace(workload_cls, config, n, seed, **wl_kwargs)
-    ctrl = BaryonController(config, seed=seed)
+    ctrl = build_controller(design, config, seed=seed)
     trace.apply_compressibility(ctrl.oracle)
     sim = SystemSimulator(ctrl, sim_config)
-    return sim.run(trace, "wl", "baryon", scalar=scalar)
+    return sim.run(trace, "wl", design, scalar=scalar)
+
+
+#: Every Baryon design the figures use: set-associative LRU (``baryon``),
+#: 64 B sub-blocks, and the fully-associative FIFO flat design. The
+#: default design keeps its bare workload id.
+_BATCHED_CELLS = [
+    pytest.param(
+        workload_cls, design,
+        id=workload_cls.__name__ + ("" if design == "baryon" else f"-{design}"),
+    )
+    for design in ("baryon", "baryon-64b", "baryon-fa")
+    for workload_cls in (ZipfWorkload, StreamWorkload)
+]
 
 
 class TestBatchedEqualsScalar:
-    @pytest.mark.parametrize("workload_cls", [ZipfWorkload, StreamWorkload])
-    def test_simresult_bit_identical(self, workload_cls):
+    @pytest.mark.parametrize("workload_cls,design", _BATCHED_CELLS)
+    def test_simresult_bit_identical(self, workload_cls, design):
         """Every SimResult field, cycles included, matches bit for bit."""
-        ref = _run(workload_cls, scalar=True)
-        fast = _run(workload_cls, scalar=False)
+        ref = _run(workload_cls, scalar=True, design=design)
+        fast = _run(workload_cls, scalar=False, design=design)
         assert fast.to_dict() == ref.to_dict()
         assert fast.cycles == ref.cycles  # exact float equality, no tolerance
 
@@ -92,13 +106,15 @@ class TestBatchedEqualsScalar:
 
 
 class TestColumnarEquivalence:
-    """The columnar arena must stay bit-exact with the object state."""
+    """The stage area's O(1) probe index must agree with its scanning
+    lookups, and the deferred server with the scalar path."""
 
     def test_columnar_verifies_after_every_mutation(self):
-        """Drive a movement-heavy tiny trace access by access, verifying
-        the columnar arena after every access — so every controller
-        mutation site (stage insert, commit, eviction, remap-cache
-        repair) is checked the moment it happens, not just at the end."""
+        """Drive a movement-heavy tiny trace access by access, checking
+        the probe index against the scanning lookups after every access —
+        so every stage mutation site (insert, slot removal, invalidation
+        on commit or eviction) is checked the moment it happens, not just
+        at the end."""
         config = make_tiny_config()
         records = generate_trace(random.Random(21), config, 700)
         ctrl = BaryonController(config, seed=21)
@@ -107,22 +123,18 @@ class TestColumnarEquivalence:
             mem = ctrl.access(addr, is_write, now)
             if not is_write:
                 now += mem.latency_cycles
-            ctrl.columnar.verify()
+            ctrl.stage.verify_probe_index()
         # The tiny config forces constant movement: all mutation sites
         # actually fired inside the verified window.
         assert ctrl.stats.get("commits") > 0
         assert ctrl.stage.stats.get("allocations") > 0
         assert ctrl.stage.stats.get("invalidations") > 0
-        # The repair path (normally fault-triggered) keeps the columnar
-        # occupancy column exact too.
-        for way in range(ctrl.remap_cache.ways + 1):
-            ctrl.remap_cache.repair(way * ctrl.remap_cache.num_sets)
-            ctrl.columnar.verify()
+        assert ctrl.stage.stage_sub  # the index was live, not trivially empty
 
     def test_random_scalar_batched_interleaving(self):
-        """Flip between the scalar ``access`` call and the deferred-batch
-        seam at random mid-run; the final counters and clock must match
-        the all-scalar replay bit for bit."""
+        """Flip between the scalar ``access`` call and the deferred server
+        at random mid-run; the final counters and clock must match the
+        all-scalar replay bit for bit."""
         config = make_tiny_config()
         records = generate_trace(random.Random(31), config, 900)
         mlp = 4.0
@@ -136,27 +148,27 @@ class TestColumnarEquivalence:
 
         mixed = BaryonController(config, seed=31)
         assert mixed.supports_batching
+        serve, flush, replay = mixed.make_deferred_server()
         rng = random.Random(77)
         b_cycles = 0.0
         ops = []
         deferred_used = 0
         for addr, is_write in records:
-            op = (
-                mixed.access_deferred(addr, is_write)
-                if rng.random() < 0.6 else None
-            )
+            op = serve(addr, is_write) if rng.random() < 0.6 else None
             if op is not None:
                 ops.append(op)
                 deferred_used += 1
                 continue
             if ops:
-                b_cycles = mixed.access_batch(ops, b_cycles, mlp)
+                b_cycles = replay(ops, b_cycles, mlp)
                 ops.clear()
+            flush()
             mem = mixed.access(addr, is_write, b_cycles)
             if not is_write:
                 b_cycles += mem.latency_cycles / mlp
         if ops:
-            b_cycles = mixed.access_batch(ops, b_cycles, mlp)
+            b_cycles = replay(ops, b_cycles, mlp)
+        flush()
         assert deferred_used > 0
         assert b_cycles == cycles  # exact float equality, no tolerance
         assert mixed.stats.as_dict() == ref.stats.as_dict()
@@ -166,93 +178,23 @@ class TestColumnarEquivalence:
                 == ref.devices.slow.stats.as_dict())
         assert (mixed.remap_cache.stats.as_dict()
                 == ref.remap_cache.stats.as_dict())
-        mixed.columnar.verify()
+        mixed.stage.verify_probe_index()
 
 
 class TestVectorizedClassifier:
-    """The bulk-gather classifier + inline server vs the scalar replay."""
+    """The deferred server vs the scalar replay, as the fuzzer drives it."""
 
     @pytest.mark.parametrize("seed", [3, 17, 29, 41])
     def test_random_chunks_and_interleavings_bit_identical(self, seed):
-        """The fuzzer's classifier twin under randomized gather chunks
-        and forced mid-run flush boundaries; raises on any divergence."""
-        from repro.validation.fuzz import run_classified_case
+        """The fuzzer's server twin under random forced mid-run flush
+        boundaries; raises on any divergence."""
+        from repro.validation.fuzz import run_batched_case
 
         config_kwargs = {}
         records = generate_trace(
             random.Random(seed), make_tiny_config(**config_kwargs), 900
         )
-        assert run_classified_case(
-            config_kwargs, records, seed, random.Random(seed * 7)
-        )
-
-    def test_single_op_chunks_force_decline_boundaries(self):
-        """chunk=1 puts a gather boundary on every op, so every decline
-        sits on a chunk edge; state must still match the scalar twin."""
-        from repro.core.columnar import CLS_DECLINE_STAGING_FETCH, DECLINE_REASONS
-
-        config = make_tiny_config()
-        records = generate_trace(random.Random(53), config, 900)
-        mlp = 4.0
-
-        ref = BaryonController(config, seed=53)
-        cycles = 0.0
-        for addr, is_write in records:
-            mem = ref.access(addr, is_write, cycles)
-            if not is_write:
-                cycles += mem.latency_cycles / mlp
-
-        vec = BaryonController(make_tiny_config(), seed=53)
-        addrs = np.asarray([a for a, _ in records], dtype=np.int64)
-        writes = np.asarray([w for _, w in records], dtype=np.bool_)
-        classifier = vec.make_run_classifier(addrs, writes)
-        assert classifier is not None
-        classifier.chunk = 1
-        serve, server_flush, batch = vec.make_deferred_server(
-            classifier.dirty_blocks
-        )
-        declines = vec.deferred_declines
-        sf_code = CLS_DECLINE_STAGING_FETCH
-        dirty = classifier.dirty_blocks
-        block_size = classifier.block_size
-        b_cycles = 0.0
-        ops = []
-        served = declined = 0
-        for i, (addr, is_write) in enumerate(records):
-            codes, auxes = classifier.classify(i, i + 1)
-            code = codes[0]
-            if code > 0:
-                op = serve(addr, is_write, code, auxes[0])
-            elif code == 0 or code == sf_code or addr // block_size in dirty:
-                op = serve(addr, is_write, 0, 0)
-            else:
-                declines[DECLINE_REASONS[code]] += 1
-                op = None
-            if op is not None:
-                ops.append(op)
-                served += 1
-                continue
-            declined += 1
-            if ops:
-                b_cycles = batch(ops, b_cycles, mlp)
-                ops.clear()
-            server_flush()
-            mem = vec.access(addr, is_write, b_cycles)
-            if not is_write:
-                b_cycles += mem.latency_cycles / mlp
-        if ops:
-            b_cycles = batch(ops, b_cycles, mlp)
-        server_flush()
-        assert served > 0 and declined > 0  # both edges exercised
-        assert b_cycles == cycles
-        assert vec.stats.as_dict() == ref.stats.as_dict()
-        assert (vec.devices.fast.stats.as_dict()
-                == ref.devices.fast.stats.as_dict())
-        assert (vec.devices.slow.stats.as_dict()
-                == ref.devices.slow.stats.as_dict())
-        assert (vec.remap_cache.stats.as_dict()
-                == ref.remap_cache.stats.as_dict())
-        vec.columnar.verify()
+        run_batched_case(config_kwargs, records, seed, random.Random(seed * 7))
 
     def test_decline_reasons_are_counted_per_reason(self):
         """A batched sim run charges every decline to a named reason —
