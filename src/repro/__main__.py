@@ -348,6 +348,7 @@ def cmd_validate(argv) -> int:
         stats = report.stats
         batched_note = (
             f", {report.stats.get('fuzz_batched_checks')} batched-seam check(s)"
+            f" + {report.stats.get('fuzz_hybrid2_checks')} hybrid2-seam check(s)"
             f" + {report.stats.get('fuzz_simple_checks')} simple-seam check(s)"
             if args.fuzz_batched else ""
         )

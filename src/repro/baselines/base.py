@@ -24,7 +24,10 @@ class BaselineController(abc.ABC):
 
     #: May the simulator drive this controller through the deferred
     #: ``(serve, flush, replay)`` triple from ``make_deferred_server()``?
-    #: Baselines are scalar-only unless they implement it and shadow this.
+    #: Baselines are scalar-only unless they implement it and shadow this:
+    #: ``SimpleCache`` serves block hits itself, and ``Hybrid2`` (which
+    #: does not derive from this class) forwards to its inner
+    #: ``BaryonController``. Unison and DICE stay scalar.
     supports_batching = False
 
     def __init__(

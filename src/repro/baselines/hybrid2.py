@@ -18,12 +18,19 @@ So this class configures and wraps the shared
 :class:`~repro.core.controller.BaryonController` accordingly. The cache
 section size reuses the stage-area knob (Hybrid2's provisioned cache is of
 the same tens-of-MB magnitude).
+
+The wrapper forwards the whole controller contract to the inner
+controller, including the deferred ``(serve, flush, replay)`` server and
+its gate, so the simulator drives Hybrid2 through the same fast path as
+Baryon and every batching gate (faults, tracing, observers) still
+applies. Callers that need the Baryon internals unwrap through
+``_inner``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.common.config import BaryonConfig, CommitConfig
 from repro.core.controller import BaryonController
@@ -78,3 +85,15 @@ class Hybrid2:
 
     def serve_rate(self) -> float:
         return self._inner.serve_rate()
+
+    # -- delegation: the deferred server contract -------------------------------
+    @property
+    def supports_batching(self) -> bool:
+        return self._inner.supports_batching
+
+    def make_deferred_server(self):
+        return self._inner.make_deferred_server()
+
+    @property
+    def deferred_declines(self) -> Dict[str, int]:
+        return self._inner.deferred_declines

@@ -481,6 +481,7 @@ class BaryonController:
         rc_credit = rc.credit_probes
         fa_blocks = fa.blocks
         fa_num_sets = fa.num_sets
+        fa_ways_get = fa.ways_of_super.get
         # Commit hits stamp LRU recency inline; the other policies go
         # through FastArea.touch (a no-op for FIFO and random).
         fa_lru = fa.replacement == "lru"
@@ -596,12 +597,13 @@ class BaryonController:
                 if entry is not None and (entry.zero or (entry.remap >> sub_idx) & 1):
                     case = 2
                     found = None
-                    for w, st in enumerate(fa_blocks[super_id % fa_num_sets]):
-                        if st is not None and st.super_id == super_id:
-                            if blk_off in st.committed:
-                                found = w
-                                state = st
-                                break
+                    fa_row = fa_blocks[super_id % fa_num_sets]
+                    for w in fa_ways_get(super_id, ()):
+                        st = fa_row[w]
+                        if blk_off in st.committed:
+                            found = w
+                            state = st
+                            break
                     if found is None:
                         declines["invariant"] += 1
                         return None

@@ -20,6 +20,7 @@ are statically partitioned across sets.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -52,7 +53,8 @@ class FastBlockState:
 
 
 class FastArea:
-    """Set-associative committed area with LRU or FIFO replacement."""
+    """Set-associative committed area, indexed by super-block, with a
+    pluggable replacement policy (LRU or FIFO by default)."""
 
     #: Fast-to-slow eviction policies the paper lists as interchangeable
     #: (Sec. III-E: "LRU, LFU, CLOCK, and even random").
@@ -81,6 +83,13 @@ class FastArea:
         self.blocks: List[List[Optional[FastBlockState]]] = [
             [None] * ways for _ in range(num_sets)
         ]
+        #: Super-block id -> ascending ways of its set that hold its data.
+        #: The hardware remap entry reaches a committed block without a
+        #: search; this index gives the simulator the same O(1) lookup, so
+        #: a fully-associative set (thousands of ways) is never scanned.
+        #: Maintained only by :meth:`install` and :meth:`remove`, the sole
+        #: writers of ``blocks`` (a state's ``super_id`` never changes).
+        self.ways_of_super: Dict[int, List[int]] = {}
         self._clock = 0
         self._rng = random.Random(seed)
         self.stats = CounterGroup("fast_area")
@@ -94,13 +103,13 @@ class FastArea:
 
     # -- lookup --------------------------------------------------------------
     def lookup_super(self, super_id: int) -> List[Tuple[int, FastBlockState]]:
-        """All ways of the set currently holding data of ``super_id``."""
-        set_index = self.set_of_super(super_id)
-        return [
-            (way, state)
-            for way, state in enumerate(self.blocks[set_index])
-            if state is not None and state.super_id == super_id
-        ]
+        """All ways of the set currently holding data of ``super_id``, in
+        ascending way order."""
+        ways = self.ways_of_super.get(super_id)
+        if ways is None:
+            return []
+        row = self.blocks[super_id % self.num_sets]
+        return [(way, row[way]) for way in ways]
 
     def find_block(self, super_id: int, blk_off: int) -> Optional[Tuple[int, FastBlockState]]:
         """The way holding committed data of logical block ``blk_off``."""
@@ -176,9 +185,16 @@ class FastArea:
     def install(self, set_index: int, way: int, state: FastBlockState) -> None:
         if self.blocks[set_index][way] is not None:
             raise LayoutError("installing over an occupied fast block space")
+        if set_index != state.super_id % self.num_sets:
+            raise LayoutError("installing a super-block outside its set")
         self._clock += 1
         state.stamp = self._clock
         self.blocks[set_index][way] = state
+        ways = self.ways_of_super.get(state.super_id)
+        if ways is None:
+            self.ways_of_super[state.super_id] = [way]
+        else:
+            insort(ways, way)
         self.stats.inc("installs")
 
     def remove(self, set_index: int, way: int) -> FastBlockState:
@@ -186,8 +202,36 @@ class FastArea:
         if state is None:
             raise LayoutError("removing an empty fast block space")
         self.blocks[set_index][way] = None
+        ways = self.ways_of_super[state.super_id]
+        if len(ways) == 1:
+            del self.ways_of_super[state.super_id]
+        else:
+            ways.remove(way)
         self.stats.inc("removals")
         return state
+
+    def verify_index(self) -> None:
+        """Assert ``ways_of_super`` equals a scan of ``blocks``.
+
+        Test-only (O(sets x ways)): every occupied space must sit in its
+        super-block's set and be indexed under that super-block, in
+        ascending way order, and the index may hold nothing else. Raises
+        ``AssertionError`` on any divergence.
+        """
+        expected: Dict[int, List[int]] = {}
+        for set_index, row in enumerate(self.blocks):
+            for way, state in enumerate(row):
+                if state is None:
+                    continue
+                assert state.super_id % self.num_sets == set_index, (
+                    "wrong set", state.super_id, set_index,
+                )
+                expected.setdefault(state.super_id, []).append(way)
+        for super_id in expected.keys() | self.ways_of_super.keys():
+            assert self.ways_of_super.get(super_id) == expected.get(super_id), (
+                "ways_of_super", super_id,
+                self.ways_of_super.get(super_id), expected.get(super_id),
+            )
 
     def occupancy(self) -> float:
         used = sum(

@@ -213,7 +213,14 @@ def _scalar_replay(controller, trace: List[TraceRecord], mlp: float) -> float:
 
 def _assert_twin_match(scalar_ctrl, twin_ctrl, cycles: float,
                        twin_cycles: float, path: str) -> None:
-    """Raise ``batched_divergence`` unless the twin matches bit-for-bit."""
+    """Raise ``batched_divergence`` unless the twin matches bit-for-bit.
+
+    Wrapped controllers (Hybrid2) are compared through their inner
+    Baryon controller, so the remap cache and both probe indices are
+    checked too.
+    """
+    scalar_ctrl = getattr(scalar_ctrl, "_inner", scalar_ctrl)
+    twin_ctrl = getattr(twin_ctrl, "_inner", twin_ctrl)
     groups = [
         ("controller", scalar_ctrl.stats, twin_ctrl.stats),
         ("fast_device", scalar_ctrl.devices.fast.stats,
@@ -252,6 +259,17 @@ def _assert_twin_match(scalar_ctrl, twin_ctrl, cycles: float,
             raise OracleViolation(
                 f"{path} twin's stage probe index diverged: {err}",
                 kind="batched_divergence", location="stage.probe_index",
+            ) from err
+    for role, ctrl in (("scalar", scalar_ctrl), ("twin", twin_ctrl)):
+        fast_area = getattr(ctrl, "fast_area", None)
+        if fast_area is None:
+            continue
+        try:
+            fast_area.verify_index()
+        except AssertionError as err:
+            raise OracleViolation(
+                f"{path} {role}'s fast-area index diverged: {err}",
+                kind="batched_divergence", location="fast_area.ways_of_super",
             ) from err
 
 
@@ -365,6 +383,28 @@ def run_simple_case(
     )
 
 
+def run_hybrid2_case(
+    config_kwargs: Dict,
+    trace: List[TraceRecord],
+    seed: int,
+    rng: Optional[random.Random] = None,
+) -> None:
+    """Drive Hybrid2 through the deferred server against its scalar twin.
+
+    :class:`~repro.baselines.hybrid2.Hybrid2` forces a combination
+    :func:`sample_config_kwargs` never draws: k = 0, compression off, no
+    physical-block sharing, and a fully-associative flat layout. The
+    same twin discipline as :func:`run_batched_case` applies, through
+    the wrapper's delegated ``(serve, flush, replay)`` contract.
+    """
+    from repro.baselines.hybrid2 import Hybrid2
+
+    _run_server_twin(
+        lambda: Hybrid2(make_tiny_config(**config_kwargs), seed=seed),
+        trace, rng, "hybrid2",
+    )
+
+
 def run_fuzz(
     iterations: int,
     seed: int,
@@ -375,10 +415,10 @@ def run_fuzz(
     """Run ``iterations`` seeded fuzz cases; collect (don't raise) failures.
 
     With ``batched=True`` every iteration additionally replays its trace
-    through the deferred server twice, each against a fresh scalar twin
-    and under random forced flush boundaries: Baryon's server
-    (:func:`run_batched_case`) and the ``simple`` baseline's
-    (:func:`run_simple_case`).
+    through the deferred server three times, each against a fresh scalar
+    twin and under random forced flush boundaries: Baryon's server
+    (:func:`run_batched_case`), Hybrid2's (:func:`run_hybrid2_case`) and
+    the ``simple`` baseline's (:func:`run_simple_case`).
     """
     report = FuzzReport()
     for iteration in range(iterations):
@@ -394,6 +434,8 @@ def run_fuzz(
             if batched:
                 run_batched_case(config_kwargs, trace, seed, rng)
                 report.stats.inc("fuzz_batched_checks")
+                run_hybrid2_case(config_kwargs, trace, seed, rng)
+                report.stats.inc("fuzz_hybrid2_checks")
                 run_simple_case(config_kwargs, trace, seed, rng)
                 report.stats.inc("fuzz_simple_checks")
         except OracleViolation as error:

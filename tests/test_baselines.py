@@ -1,10 +1,12 @@
 """Baseline designs: Simple, Unison Cache, DICE, Hybrid2."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.baselines import DiceCache, Hybrid2, SimpleCache, UnisonCache
+from repro.common.config import ResilienceConfig
 from repro.core.events import AccessCase
 
 from tests.conftest import make_small_config
@@ -151,3 +153,19 @@ class TestHybrid2:
         assert h.stats.get("accesses") == 1
         assert 0.0 <= h.serve_rate() <= 1.0
         assert h.devices.fast is not None
+
+    def test_deferred_contract_delegates_to_inner(self):
+        h = Hybrid2(make_small_config(flat=1.0, fully_associative=True))
+        assert h.supports_batching
+        assert h.deferred_declines is h._inner.deferred_declines
+        assert len(h.make_deferred_server()) == 3
+
+    def test_fault_injection_keeps_scalar_gate(self):
+        """The delegated gate inherits every inner decline condition."""
+        config = dataclasses.replace(
+            make_small_config(flat=1.0, fully_associative=True),
+            resilience=ResilienceConfig(enabled=True, p_read_transient=0.01),
+        )
+        h = Hybrid2(config)
+        assert h._inner.faults is not None
+        assert not h.supports_batching

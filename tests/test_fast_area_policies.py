@@ -61,6 +61,61 @@ class TestPolicies:
         assert area.victim_way(0) == 1
 
 
+class TestSuperBlockIndex:
+    """``ways_of_super`` against a brute-force scan of ``blocks``."""
+
+    @staticmethod
+    def _scan(area, super_id):
+        row = area.blocks[area.set_of_super(super_id)]
+        return [
+            (way, state) for way, state in enumerate(row)
+            if state is not None and state.super_id == super_id
+        ]
+
+    @pytest.mark.parametrize("policy", FastArea.POLICIES)
+    @pytest.mark.parametrize("num_sets,ways", [(4, 4), (1, 64)])
+    def test_random_install_remove_matches_scan(self, policy, num_sets, ways):
+        rng = random.Random(f"{policy}:{num_sets}x{ways}")
+        area = FastArea(num_sets, ways, Geometry(), policy)
+        supers = range(3 * num_sets + 5)
+        for _ in range(600):
+            super_id = rng.choice(supers)
+            set_index = area.set_of_super(super_id)
+            occupied = [
+                (s, w) for s, row in enumerate(area.blocks)
+                for w, state in enumerate(row) if state is not None
+            ]
+            if occupied and rng.random() < 0.4:
+                area.remove(*rng.choice(occupied))
+            else:
+                way = area.free_way(set_index)
+                if way is None:
+                    way = area.victim_way(set_index)
+                    area.remove(set_index, way)
+                    area.verify_index()
+                area.install(set_index, way, FastBlockState(
+                    super_id=super_id,
+                    committed={off: 1 for off in rng.sample(range(8), 2)},
+                ))
+                if rng.random() < 0.5:
+                    area.touch(set_index, way)
+            area.verify_index()
+            for probe in supers:
+                expected = self._scan(area, probe)
+                assert area.lookup_super(probe) == expected
+                for blk_off in range(8):
+                    first = next(
+                        (hit for hit in expected if blk_off in hit[1].committed),
+                        None,
+                    )
+                    assert area.find_block(probe, blk_off) == first
+
+    def test_install_outside_its_set_rejected(self):
+        area = FastArea(4, 2, Geometry())
+        with pytest.raises(LayoutError):
+            area.install(1, 0, FastBlockState(super_id=4))
+
+
 class TestControllerWithPolicies:
     @pytest.mark.parametrize("policy", ["lfu", "clock", "random"])
     def test_invariants_hold_under_every_policy(self, policy):

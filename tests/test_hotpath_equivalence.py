@@ -38,20 +38,22 @@ def _run(workload_cls, *, scalar, design="baryon", n=3000, seed=2, **wl_kwargs):
     sim_config = make_small_sim_config()
     trace = _make_trace(workload_cls, config, n, seed, **wl_kwargs)
     ctrl = build_controller(design, config, seed=seed)
-    trace.apply_compressibility(ctrl.oracle)
+    if hasattr(ctrl, "oracle"):  # as run_cell: Hybrid2 never compresses
+        trace.apply_compressibility(ctrl.oracle)
     sim = SystemSimulator(ctrl, sim_config)
     return sim.run(trace, "wl", design, scalar=scalar)
 
 
-#: Every Baryon design the figures use: set-associative LRU (``baryon``),
-#: 64 B sub-blocks, and the fully-associative FIFO flat design. The
-#: default design keeps its bare workload id.
+#: Every design the figures drive through the Baryon server:
+#: set-associative LRU (``baryon``), 64 B sub-blocks, the fully-associative
+#: FIFO flat design, and Hybrid2 (a configured inner Baryon controller).
+#: The default design keeps its bare workload id.
 _BATCHED_CELLS = [
     pytest.param(
         workload_cls, design,
         id=workload_cls.__name__ + ("" if design == "baryon" else f"-{design}"),
     )
-    for design in ("baryon", "baryon-64b", "baryon-fa")
+    for design in ("baryon", "baryon-64b", "baryon-fa", "hybrid2")
     for workload_cls in (ZipfWorkload, StreamWorkload)
 ]
 
