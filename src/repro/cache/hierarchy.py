@@ -12,11 +12,14 @@ memory-to-LLC prefetch of Sec. III-E — when the controller decompresses one
 64 B chunk into up to four cachelines, the extra lines are installed into
 the LLC directly.
 
-Hot-path engineering: :meth:`access_fast` is the allocation-free form the
-simulator's batched loop drives — ``None`` for the dominant L1-hit case, a
-plain tuple otherwise — and level hit counters accumulate in integers that
-fold into the public ``stats`` group lazily on read. :meth:`access` wraps
-it into the original :class:`HierarchyResult` for compatibility.
+Two walks, one result. :meth:`access_fast` is the reference walk: a plain
+pass over each level's ``access_raw`` that works under any replacement
+policy and returns ``None`` for the L1-hit case, a plain tuple otherwise.
+:meth:`access` wraps it into a :class:`HierarchyResult` for the scalar
+loop. :meth:`make_fast_path` returns the closures every batched loop
+drives: the one place the LRU probe and allocate are inlined. Level hit
+counters accumulate in integers that fold into the public ``stats`` group
+lazily on read.
 """
 
 from __future__ import annotations
@@ -93,121 +96,49 @@ class CacheHierarchy:
     def access_fast(
         self, addr: int, is_write: bool, core: int = 0
     ) -> Optional[Tuple[str, int, bool, Optional[List[int]]]]:
-        """Run one demand access through L1 -> L2 -> LLC, allocation-free.
+        """Run one demand access through L1 -> L2 -> LLC: the reference walk.
 
-        Returns ``None`` for the dominant L1-hit case; otherwise a tuple
+        Returns ``None`` for the L1-hit case; otherwise a tuple
         ``(hit_level, latency_cycles, llc_miss, writebacks)`` where
         ``writebacks`` is ``None`` when no dirty LLC victims spilled.
-        Simulation effects are identical to :meth:`access`.
+        Each level is probed through its own
+        :meth:`~repro.cache.sram_cache.SetAssociativeCache.access_raw`, so
+        this walk serves any replacement policy and is the independent
+        check of the inlined closure from :meth:`make_fast_path`.
         """
         core %= self._cores
-        l1 = self._l1[core]
-        if l1._is_lru:
-            # Inlined L1 LRU probe: the L1 hit is the dominant outcome and
-            # this skips the access_raw call for it (same state effects).
-            line = addr // l1._line_size
-            index = line % l1.num_sets
-            cache_set = l1._sets[index]
-            tag = line // l1.num_sets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            l1._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                if is_write:
-                    entry.dirty = True
-                l1._n_hits += 1
-                self._n_l1_hits += 1
-                return None
-            l1._n_misses += 1
-            l1_wb, _ = l1._allocate(cache_set, index, tag, is_write)
-        else:
-            hit, l1_wb, _ = l1.access_raw(addr, is_write)
-            if hit:
-                self._n_l1_hits += 1
-                return None
-
-        writebacks: Optional[List[int]] = None
+        hit, l1_wb, _ = self._l1[core].access_raw(addr, is_write)
+        if hit:
+            self._n_l1_hits += 1
+            return None
+        llc = self.llc
+        writebacks: List[int] = []
         l2 = self._l2[core]
-        if l2._is_lru:
-            # Inlined L2 demand probe (read-only at L2 under NINE; same
-            # state transitions and counters as access_raw).
-            line = addr // l2._line_size
-            index = line % l2.num_sets
-            cache_set = l2._sets[index]
-            tag = line // l2.num_sets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            l2._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                l2._n_hits += 1
-                hit2 = True
-                l2_wb = None
-            else:
-                l2._n_misses += 1
-                hit2 = False
-                l2_wb, _ = l2._allocate(cache_set, index, tag, False)
-        else:
-            hit2, l2_wb, _ = l2.access_raw(addr, False)
+        # Demand probe at L2 (read-only under NINE), then the dirty L1
+        # victim lands in L2 (write-allocate) and may spill into the LLC.
+        hit2, l2_wb, _ = l2.access_raw(addr, False)
         if l1_wb is not None:
-            # Dirty L1 victim lands in L2 (write-allocate at L2).
             _, spill, _ = l2.access_raw(l1_wb, True)
             if spill is not None:
-                _, llc_wb, _ = self.llc.access_raw(spill, True)
-                # Truthiness (not `is not None`) preserves the historical
-                # spill semantics exactly.
-                if llc_wb:
-                    writebacks = [llc_wb]
+                _, llc_wb, _ = llc.access_raw(spill, True)
+                if llc_wb is not None:
+                    writebacks.append(llc_wb)
         if hit2:
             self._n_l2_hits += 1
             # Dirtiness is tracked at L1; the L2 copy stays clean (NINE).
-            return ("L2", self._lat_l12, False, writebacks)
+            return ("L2", self._lat_l12, False, writebacks or None)
         if l2_wb is not None:
-            _, llc_wb, _ = self.llc.access_raw(l2_wb, True)
-            if llc_wb:
-                if writebacks is None:
-                    writebacks = [llc_wb]
-                else:
-                    writebacks.append(llc_wb)
-
-        llc = self.llc
-        if llc._is_lru:
-            # Inlined LLC demand probe (see the L2 probe above).
-            line = addr // llc._line_size
-            index = line % llc.num_sets
-            cache_set = llc._sets[index]
-            tag = line // llc.num_sets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            llc._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                llc._n_hits += 1
-                hit3 = True
-                llc_wb = None
-            else:
-                llc._n_misses += 1
-                hit3 = False
-                llc_wb, _ = llc._allocate(cache_set, index, tag, False)
-        else:
-            hit3, llc_wb, _ = llc.access_raw(addr, False)
-        if llc_wb is not None:
-            if writebacks is None:
-                writebacks = [llc_wb]
-            else:
+            _, llc_wb, _ = llc.access_raw(l2_wb, True)
+            if llc_wb is not None:
                 writebacks.append(llc_wb)
+        hit3, llc_wb, _ = llc.access_raw(addr, False)
+        if llc_wb is not None:
+            writebacks.append(llc_wb)
         if hit3:
             self._n_llc_hits += 1
-            return ("LLC", self._lat_full, False, writebacks)
+            return ("LLC", self._lat_full, False, writebacks or None)
         self._n_llc_misses += 1
-        return ("MEM", self._lat_full, True, writebacks)
+        return ("MEM", self._lat_full, True, writebacks or None)
 
     def access(self, addr: int, is_write: bool, core: int = 0) -> HierarchyResult:
         """Run one demand access through L1 -> L2 -> LLC."""
@@ -215,28 +146,27 @@ class CacheHierarchy:
         if outcome is None:
             return HierarchyResult("L1", False, self._lat_l1, [])
         level, latency, llc_miss, writebacks = outcome
-        return HierarchyResult(
-            level, llc_miss, latency, writebacks if writebacks is not None else []
-        )
+        return HierarchyResult(level, llc_miss, latency, writebacks or [])
 
     def make_fast_path(self):
-        """Closure triple ``(access, install, flush)`` for the hot loop.
+        """Closure triple ``(access, install, flush)`` every batched loop drives.
 
-        ``access``/``install`` mirror :meth:`access_fast` and
-        :meth:`install_llc_fast` with the per-call attribute walks hoisted
-        into closure locals and the hierarchy-level hit counters tallied
-        in closure integers; ``flush`` folds the tallies back before any
+        ``access``/``install`` have the results and state effects of
+        :meth:`access_fast` and :meth:`install_llc_fast`. This is the one
+        inlined LRU walk: per-call attribute walks are hoisted into closure
+        locals, each level's probe and ``_allocate`` LRU arm are written
+        out, and the hierarchy-level hit counters are tallied in closure
+        integers; ``flush`` folds the tallies back before any
         :attr:`stats` read. Per-cache counters stay attribute increments
         (their owners read them lazily through their own ``stats``).
-        Returns ``None`` when any level is not plain-LRU — the closures
-        inline only the LRU probe, so the caller falls back to the bound
-        methods.
+        When any level is not plain-LRU the triple is the reference walk
+        itself: ``(access_fast, install_llc_fast, no-op)``.
         """
         l1s = self._l1
         l2s = self._l2
         llc = self.llc
         if not all(c._is_lru for c in (*l1s, *l2s, llc)):
-            return None
+            return self.access_fast, self.install_llc_fast, lambda: None
         cores = self._cores
         lat_l12 = self._lat_l12
         lat_full = self._lat_full
@@ -338,9 +268,7 @@ class CacheHierarchy:
                 _, spill, _ = l2.access_raw(l1_wb, True)
                 if spill is not None:
                     _, llc_wb, _ = llc_raw(spill, True)
-                    # Truthiness (not `is not None`) preserves the
-                    # historical spill semantics exactly.
-                    if llc_wb:
+                    if llc_wb is not None:
                         writebacks = [llc_wb]
             if hit2:
                 n_l2 += 1
@@ -348,7 +276,7 @@ class CacheHierarchy:
                 return ("L2", lat_l12, False, writebacks)
             if l2_wb is not None:
                 _, llc_wb, _ = llc_raw(l2_wb, True)
-                if llc_wb:
+                if llc_wb is not None:
                     if writebacks is None:
                         writebacks = [llc_wb]
                     else:
@@ -440,21 +368,12 @@ class CacheHierarchy:
 
         def flush():
             nonlocal n_l1, n_l2, n_llc, n_miss, n_pref
-            if n_l1:
-                self._n_l1_hits += n_l1
-                n_l1 = 0
-            if n_l2:
-                self._n_l2_hits += n_l2
-                n_l2 = 0
-            if n_llc:
-                self._n_llc_hits += n_llc
-                n_llc = 0
-            if n_miss:
-                self._n_llc_misses += n_miss
-                n_miss = 0
-            if n_pref:
-                self._n_prefetch_installs += n_pref
-                n_pref = 0
+            self._n_l1_hits += n_l1
+            self._n_l2_hits += n_l2
+            self._n_llc_hits += n_llc
+            self._n_llc_misses += n_miss
+            self._n_prefetch_installs += n_pref
+            n_l1 = n_l2 = n_llc = n_miss = n_pref = 0
 
         return access, install, flush
 
@@ -468,7 +387,7 @@ class CacheHierarchy:
     def install_llc(self, addr: int) -> List[int]:
         """Install a prefetched line into the LLC; returns dirty writebacks."""
         writeback = self.install_llc_fast(addr)
-        return [writeback] if writeback else []
+        return [writeback] if writeback is not None else []
 
     @property
     def llc_miss_rate(self) -> float:

@@ -26,17 +26,21 @@ class SystemSimulator:
 
     ``scalar``
         The original reference loop, kept verbatim: one
-        :class:`~repro.cache.hierarchy.HierarchyResult` per access,
-        per-access metric ticks, per-access profiling.
+        :class:`~repro.cache.hierarchy.HierarchyResult` per access from
+        the hierarchy's reference walk, per-access metric ticks,
+        per-access profiling.
     ``batched`` (default)
         The hot-path loop: trace arrays are converted to plain Python
-        lists once, the hierarchy runs through the allocation-free
-        :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`, and
+        lists once, the hierarchy runs through the
+        ``(access, install, flush)`` closures of
+        :meth:`~repro.cache.hierarchy.CacheHierarchy.make_fast_path`, and
         observing/profiling hooks fire on interval samples instead of
-        every access. Simulation state and every :class:`SimResult`
-        counter are bit-identical to the scalar loop (the float
-        accumulation order of ``cycles`` is preserved operation for
-        operation); ``tests/test_hotpath_equivalence.py`` asserts this.
+        every access. Each warmup/measured segment runs in
+        ``progress_every``-sized chunks. Simulation state and every
+        :class:`SimResult` counter are bit-identical to the scalar loop
+        (the float accumulation order of ``cycles`` is preserved
+        operation for operation); ``tests/test_hotpath_equivalence.py``
+        asserts this.
 
     When the controller advertises ``supports_batching`` (no fault
     injection, recovery, shadow checker, phase tracker or event tracing
@@ -69,10 +73,10 @@ class SystemSimulator:
         run span only).
     ``progress``
         A ``callable(done, total)`` invoked every ``progress_every``
-        accesses (and at each phase boundary). With a callback attached
-        the batched loop runs in ``progress_every``-sized chunks — the
-        chunking only changes where local accumulators are written back,
-        so results stay bit-identical to the unchunked loop.
+        accesses (and at each phase boundary), at the batched loop's
+        chunk ends. Chunking only changes where local accumulators are
+        written back and pending deferred ops replay, so results stay
+        bit-identical to the scalar loop.
     """
 
     def __init__(
@@ -264,9 +268,8 @@ class SystemSimulator:
         self._server = (
             self.controller.make_deferred_server() if self._deferred else None
         )
-        # Closure form of the hierarchy walk (attribute binds hoisted,
-        # tallied hit counters); None falls back to the bound methods.
-        self._fast_path = self.hierarchy.make_fast_path() if self._deferred else None
+        # The hierarchy's (access, install, flush) walk closures.
+        self._fast_path = self.hierarchy.make_fast_path()
         addrs = addrs.tolist() if hasattr(addrs, "tolist") else list(addrs)
         writes = writes.tolist() if hasattr(writes, "tolist") else list(writes)
         igaps = igaps.tolist() if hasattr(igaps, "tolist") else list(igaps)
@@ -304,20 +307,21 @@ class SystemSimulator:
     def _segment(
         self, start: int, stop: int, addrs, writes, igaps, cores, total: int
     ) -> None:
-        """One warmup/measured segment, chunked only when a progress
-        callback is attached (state write-back between chunks is the
-        only difference, so counters stay bit-identical)."""
+        """One warmup/measured segment in ``progress_every``-sized chunks.
+
+        Chunking bounds the deferred span's pending ``ops``; state
+        write-back and replay at chunk ends are the only difference, so
+        counters stay bit-identical. The progress callback, when attached,
+        fires after each chunk."""
         progress = self._progress
-        if progress is None:
-            self._batched_span(start, stop, addrs, writes, igaps, cores)
-            return
         stride = self._progress_every
         pos = start
         while pos < stop:
             chunk_end = min(stop, pos + stride)
             self._batched_span(pos, chunk_end, addrs, writes, igaps, cores)
             pos = chunk_end
-            progress(pos, total)
+            if progress is not None:
+                progress(pos, total)
 
     def _batched_span(
         self, start: int, stop: int, addrs, writes, igaps, cores
@@ -339,11 +343,9 @@ class SystemSimulator:
         base_cpi = cfg.base_cpi
         mlp = cfg.memory_level_parallelism
         threads = max(1, cfg.hierarchy.cores)
-        hierarchy = self.hierarchy
-        access_fast = hierarchy.access_fast
-        install_fast = hierarchy.install_llc_fast
+        access_fast, install_fast, hier_flush = self._fast_path
         ctrl_access = self.controller.access
-        l1_div = hierarchy.config.l1d.latency_cycles / threads
+        l1_div = self.hierarchy.config.l1d.latency_cycles / threads
         profiler = self.profiler
         profiling = profiler.enabled
         observing = self.metrics is not None
@@ -398,7 +400,7 @@ class SystemSimulator:
                     if pls:
                         for line_addr in pls:
                             wb = install_fast(line_addr)
-                            if wb:
+                            if wb is not None:
                                 ctrl_access(wb, True, cycles)
                 wbs = outcome[3]
                 if wbs is not None:
@@ -418,6 +420,7 @@ class SystemSimulator:
                     )
                     due_ipc = ts_ipc.next_due()
 
+        hier_flush()
         self.cycles = cycles
         self.instructions = instructions
         self._served_fast = served_fast
@@ -446,17 +449,10 @@ class SystemSimulator:
         base_cpi = cfg.base_cpi
         mlp = cfg.memory_level_parallelism
         threads = max(1, cfg.hierarchy.cores)
-        hierarchy = self.hierarchy
-        fast_path = self._fast_path
-        if fast_path is not None:
-            access_fast, install_fast, hier_flush = fast_path
-        else:
-            access_fast = hierarchy.access_fast
-            install_fast = hierarchy.install_llc_fast
-            hier_flush = None
+        access_fast, install_fast, hier_flush = self._fast_path
         ctrl_access = self.controller.access
         serve, server_flush, replay = self._server
-        l1_div = hierarchy.config.l1d.latency_cycles / threads
+        l1_div = self.hierarchy.config.l1d.latency_cycles / threads
 
         cycles = self.cycles
         instructions = self.instructions
@@ -495,7 +491,7 @@ class SystemSimulator:
                     if pls:
                         for line_addr in pls:
                             wb = install_fast(line_addr)
-                            if wb:
+                            if wb is not None:
                                 wop = serve(wb, True)
                                 if wop is not None:
                                     append(wop)
@@ -517,7 +513,7 @@ class SystemSimulator:
                     if pls:
                         for line_addr in pls:
                             wb = install_fast(line_addr)
-                            if wb:
+                            if wb is not None:
                                 ctrl_access(wb, True, cycles)
             wbs = outcome[3]
             if wbs is not None:
@@ -539,8 +535,7 @@ class SystemSimulator:
             cycles = replay(ops, cycles, mlp)
             ops.clear()
         server_flush()
-        if hier_flush is not None:
-            hier_flush()
+        hier_flush()
         self.cycles = cycles
         self.instructions = instructions
 

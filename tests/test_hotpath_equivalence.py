@@ -33,9 +33,10 @@ def _make_trace(workload_cls, config, n, seed, **wl_kwargs):
     ).generate(n)
 
 
-def _run(workload_cls, *, scalar, design="baryon", n=3000, seed=2, **wl_kwargs):
+def _run(workload_cls, *, scalar, design="baryon", n=3000, seed=2,
+         sim_config=None, **wl_kwargs):
     config = make_small_config()
-    sim_config = make_small_sim_config()
+    sim_config = sim_config or make_small_sim_config()
     trace = _make_trace(workload_cls, config, n, seed, **wl_kwargs)
     ctrl = build_controller(design, config, seed=seed)
     if hasattr(ctrl, "oracle"):  # as run_cell: Hybrid2 never compresses
@@ -66,6 +67,25 @@ class TestBatchedEqualsScalar:
         fast = _run(workload_cls, scalar=False, design=design)
         assert fast.to_dict() == ref.to_dict()
         assert fast.cycles == ref.cycles  # exact float equality, no tolerance
+
+    @pytest.mark.parametrize("design", ["baryon", "unison"])
+    def test_non_lru_hierarchy_bit_identical(self, design):
+        """A FIFO LLC makes the batched loop drive the hierarchy's
+        reference walk: deferred (baryon) and per-miss (unison) cells
+        still match the scalar loop bit for bit."""
+        base = make_small_sim_config()
+        fifo_llc = dataclasses.replace(
+            base,
+            hierarchy=dataclasses.replace(
+                base.hierarchy,
+                llc=dataclasses.replace(base.hierarchy.llc, replacement="fifo"),
+            ),
+        )
+        ref = _run(ZipfWorkload, scalar=True, design=design, sim_config=fifo_llc)
+        fast = _run(ZipfWorkload, scalar=False, design=design, sim_config=fifo_llc)
+        assert fast.to_dict() == ref.to_dict()
+        assert fast.cycles == ref.cycles
+        assert ref.llc_misses > 0
 
     def test_empty_and_tiny_traces(self):
         config = make_small_config()
@@ -107,11 +127,11 @@ class TestBatchedEqualsScalar:
         assert fingerprints[0] == fingerprints[1]
 
 
-class TestColumnarEquivalence:
+class TestProbeIndexAndServer:
     """The stage area's O(1) probe index must agree with its scanning
     lookups, and the deferred server with the scalar path."""
 
-    def test_columnar_verifies_after_every_mutation(self):
+    def test_probe_index_holds_after_every_mutation(self):
         """Drive a movement-heavy tiny trace access by access, checking
         the probe index against the scanning lookups after every access —
         so every stage mutation site (insert, slot removal, invalidation
@@ -183,7 +203,7 @@ class TestColumnarEquivalence:
         mixed.stage.verify_probe_index()
 
 
-class TestVectorizedClassifier:
+class TestDeferredServerTwin:
     """The deferred server vs the scalar replay, as the fuzzer drives it."""
 
     @pytest.mark.parametrize("seed", [3, 17, 29, 41])

@@ -1,5 +1,7 @@
 """Replacement policies, the generic SRAM cache, and the hierarchy."""
 
+import random
+
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -240,3 +242,111 @@ class TestHierarchy:
         h.access(0x0, False)
         h.access(0x0, False)
         assert 0.0 <= h.llc_miss_rate <= 1.0
+
+
+def _one_set_hierarchy():
+    """Every level a single set: L1 and L2 direct-mapped, a 2-way LLC."""
+    return CacheHierarchy(
+        HierarchyConfig(
+            cores=1,
+            l1d=CacheGeometry("L1D", 64, 1, latency_cycles=4),
+            l2=CacheGeometry("L2", 64, 1, latency_cycles=9),
+            llc=CacheGeometry("LLC", 128, 2, latency_cycles=38),
+        )
+    )
+
+
+class TestLineZeroWriteback:
+    """A dirty line at address 0 leaving the LLC is a writeback like any
+    other: every eviction path reports it, on both hierarchy walks."""
+
+    # Writes to lines 0, 1, 2 leave line 0 dirty and least recent in the
+    # one 2-way LLC set: line 1's dirty L1 victim pushes line 0's dirty
+    # copy from L2 into the LLC, and line 2's demand fill evicts line 1.
+    PRIME = (0, 64, 128)
+
+    @pytest.mark.parametrize("walk", ["reference", "closure"])
+    def test_evicted_by_l2_writeback(self, walk):
+        h = _one_set_hierarchy()
+        access = h.access_fast if walk == "reference" else h.make_fast_path()[0]
+        for addr in self.PRIME:
+            outcome = access(addr, True, 0)
+            assert outcome is not None and outcome[3] is None
+        # Line 3's demand fill makes L2 write line 1 back into the LLC,
+        # which evicts dirty line 0.
+        assert access(192, True, 0) == ("MEM", 4 + 9 + 38, True, [0])
+
+    def test_evicted_by_llc_install(self):
+        ref, fast = _one_set_hierarchy(), _one_set_hierarchy()
+        access, install, _ = fast.make_fast_path()
+        for addr in self.PRIME:
+            ref.access(addr, True)
+            access(addr, True, 0)
+        assert ref.install_llc(192) == [0]
+        assert install(192) == 0
+
+
+def _small_hierarchy(l1="lru", l2="lru", llc="lru"):
+    return CacheHierarchy(
+        HierarchyConfig(
+            cores=2,
+            l1d=CacheGeometry("L1D", 512, 2, latency_cycles=4, replacement=l1),
+            l2=CacheGeometry("L2", 1 * KB, 2, latency_cycles=9, replacement=l2),
+            llc=CacheGeometry("LLC", 2 * KB, 4, latency_cycles=38, replacement=llc),
+        )
+    )
+
+
+def _levels(h):
+    return [*h._l1, *h._l2, h.llc]
+
+
+def _contents(cache):
+    """Every set's lines in recency (victim-first) order."""
+    return [
+        [(tag, line.dirty, line.counter) for tag, line in s.lines.items()]
+        for s in cache._sets
+    ]
+
+
+class TestFastPathWalk:
+    """The ``make_fast_path`` closures against the ``access_fast`` /
+    ``install_llc_fast`` reference walk, step by step."""
+
+    @pytest.mark.parametrize(
+        "policies,inlined",
+        [
+            ({}, True),
+            ({"l1": "fifo", "l2": "fifo", "llc": "fifo"}, False),
+            ({"llc": "fifo"}, False),
+        ],
+        ids=["lru", "fifo", "fifo-llc"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_closure_matches_reference_walk(self, policies, inlined, seed):
+        ref = _small_hierarchy(**policies)
+        fast = _small_hierarchy(**policies)
+        access, install, flush = fast.make_fast_path()
+        # The LRU hierarchy runs the inlined closures; any non-LRU level
+        # makes the triple the reference walk itself.
+        assert (access != fast.access_fast) is inlined
+        rng = random.Random(seed)
+        # 16 KB of lines against a 2 KB LLC: evictions and dirty
+        # writebacks at every level.
+        for _ in range(1500):
+            addr = rng.randrange(256) * 64 + rng.randrange(64)
+            if rng.random() < 0.15:
+                got, want = install(addr), ref.install_llc_fast(addr)
+            else:
+                is_write = rng.random() < 0.4
+                core = rng.randrange(4)  # wraps modulo the core count
+                got = access(addr, is_write, core)
+                want = ref.access_fast(addr, is_write, core)
+            assert got == want
+            for a, b in zip(_levels(fast), _levels(ref)):
+                assert a.stats.as_dict() == b.stats.as_dict()
+                assert _contents(a) == _contents(b)
+            flush()
+            assert fast.stats.as_dict() == ref.stats.as_dict()
+        assert ref.stats.get("llc_misses") > 0
+        assert ref.llc.stats.get("writebacks") > 0
