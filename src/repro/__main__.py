@@ -684,13 +684,21 @@ def _observed_run(args, configs, tracer=None, metrics=None, profiler=None):
     )
 
 
+def _print_path(result, label: str = "path") -> None:
+    """Which simulator loop served the run, and the gate that kept it
+    off the deferred server when one did."""
+    gate = f" (gate: {result.path_gate})" if result.path_gate else ""
+    print(f"  {label}: {result.path}{gate}")
+
+
 def _print_deferred_declines(controller) -> None:
-    """Per-reason deferred-seam decline table (``repro report``).
+    """Per-reason deferred-seam decline table.
 
     The counters live on the controller (not in ``stats``: only the
-    batched path declines, and stats must stay bit-identical across
-    loops). All-zero with per-access tracing attached simply means the
-    seam never engaged.
+    deferred server declines, and stats must stay bit-identical across
+    loops). They are all zero unless the run's path was ``deferred``:
+    a gate (the profiler, event tracing, fault injection, ...) keeps
+    the server from ever being asked.
     """
     declines = getattr(controller, "deferred_declines", None)
     if declines is None:
@@ -817,11 +825,12 @@ def cmd_report(argv) -> int:
     print("  events by type:")
     for etype, count in sorted(tracer.counts_by_type().items()):
         print(f"    {etype:<16} {count}")
-    # The traced run pins the controller to the scalar path (per-access
-    # tracing disables batching), so the seam diagnostics come from one
-    # untraced batched rerun of the same cell — bit-identical results,
-    # real decline counters.
+    _print_path(result)
+    # Event tracing is a gate (it hooks every scalar access), so the seam
+    # diagnostics come from one untraced rerun of the same cell —
+    # bit-identical results, real decline counters.
     seam_result, seam_ctrl = _observed_run(args, configs)
+    _print_path(seam_result, "seam rerun path")
     if getattr(seam_ctrl, "deferred_declines", None) is not None:
         _print_deferred_declines(seam_ctrl)
         if seam_result.to_dict() != result.to_dict():
@@ -1188,9 +1197,10 @@ def main(argv=None) -> int:
     for key, value in result.summary().items():
         print(f"  {key:<18} {value:.4f}")
     _print_case_mix(result.case_counts)
-    if not args.profile:
-        # Profiling forces the scalar loop; otherwise the batched seam
-        # ran and its decline mix is a real diagnostic.
+    _print_path(result)
+    if result.path == "deferred":
+        # Only the deferred server declines; on a gated path (the
+        # profiler is a gate) the counters would all read zero.
         _print_deferred_declines(controller)
     if profiler is not None:
         print(profiler.format_report())

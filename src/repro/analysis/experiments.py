@@ -54,8 +54,14 @@ def build_controller(
     """Instantiate a controller by its Fig. 9/10 name.
 
     ``config`` is the cache-mode configuration; flat designs derive their
-    fully-associative flat variant from it automatically.
+    fully-associative flat variant from it automatically. A ``tracker``
+    observes the stage area (Hybrid2's cache section), so the designs
+    without one (``simple``, ``unison``, ``dice``) reject it.
     """
+    if tracker is not None and design in ("simple", "unison", "dice"):
+        raise ConfigurationError(
+            f"design {design!r} has no stage area for a stage-phase tracker"
+        )
     if design == "simple":
         return SimpleCache(config)
     if design == "unison":
@@ -69,7 +75,7 @@ def build_controller(
             config.with_sub_block_size(64), seed=seed, tracker=tracker
         )
     if design == "hybrid2":
-        return Hybrid2(_flat_variant(config), seed=seed)
+        return Hybrid2(_flat_variant(config), seed=seed, tracker=tracker)
     if design == "baryon-fa":
         return BaryonController(_flat_variant(config), seed=seed, tracker=tracker)
     raise ConfigurationError(f"unknown design {design!r}; choose from {DESIGNS}")

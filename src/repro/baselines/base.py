@@ -22,14 +22,6 @@ class BaselineController(abc.ABC):
 
     name = "baseline"
 
-    #: May the simulator drive this controller through the deferred
-    #: ``(serve, flush, replay)`` triple from ``make_deferred_server()``?
-    #: Baselines are scalar-only unless they implement it and shadow this:
-    #: ``SimpleCache`` serves block hits itself, and ``Hybrid2`` (which
-    #: does not derive from this class) forwards to its inner
-    #: ``BaryonController``. Unison and DICE stay scalar.
-    supports_batching = False
-
     def __init__(
         self,
         config: Optional[BaryonConfig] = None,
@@ -42,6 +34,23 @@ class BaselineController(abc.ABC):
         #: Observability hook point; see :mod:`repro.obs`.
         self.obs = NULL_TRACER
         self._now = 0.0
+
+    def batching_gate(self) -> Optional[str]:
+        """Why the simulator may not drive this controller through the
+        deferred ``(serve, flush, replay)`` triple from
+        ``make_deferred_server()``, or ``None``.
+
+        Baselines are scalar-only (``design``) unless they implement the
+        triple and override this: ``SimpleCache`` serves block hits
+        itself, and ``Hybrid2`` (which does not derive from this class)
+        forwards to its inner ``BaryonController``. Unison and DICE stay
+        scalar.
+        """
+        return "design"
+
+    @property
+    def supports_batching(self) -> bool:
+        return self.batching_gate() is None
 
     def _advance(self, now: Optional[float]) -> float:
         if now is not None:

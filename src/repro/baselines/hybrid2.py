@@ -22,9 +22,10 @@ the same tens-of-MB magnitude).
 The wrapper forwards the whole controller contract to the inner
 controller, including the deferred ``(serve, flush, replay)`` server and
 its gate, so the simulator drives Hybrid2 through the same fast path as
-Baryon and every batching gate (faults, tracing, observers) still
-applies. Callers that need the Baryon internals unwrap through
-``_inner``.
+Baryon and every batching gate (faults, tracing, the checker) still
+applies. A stage-phase tracker is handed to the inner controller, whose
+cache section is the stage area it observes. Callers that need the
+Baryon internals unwrap through ``_inner``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Dict, Optional
 
 from repro.common.config import BaryonConfig, CommitConfig
 from repro.core.controller import BaryonController
+from repro.core.tracking import StagePhaseTracker
 from repro.core.events import AccessResult
 from repro.devices.memory import HybridMemoryDevices
 
@@ -48,6 +50,7 @@ class Hybrid2:
         config: Optional[BaryonConfig] = None,
         devices: Optional[HybridMemoryDevices] = None,
         seed: int = 1,
+        tracker: Optional[StagePhaseTracker] = None,
     ) -> None:
         base = config or BaryonConfig.fully_associative()
         # Hybrid2 is flat + fully-associative with a provisioned cache
@@ -65,7 +68,9 @@ class Hybrid2:
             share_physical_blocks=False,
             compressed_writeback=False,
         )
-        self._inner = BaryonController(self.config, devices=devices, seed=seed)
+        self._inner = BaryonController(
+            self.config, devices=devices, seed=seed, tracker=tracker
+        )
 
     # -- delegation: same duck type as every other controller ----------------
     def access(self, addr: int, is_write: bool, now: Optional[float] = None) -> AccessResult:
@@ -83,10 +88,17 @@ class Hybrid2:
     def geometry(self):
         return self._inner.geometry
 
+    @property
+    def tracker(self) -> Optional[StagePhaseTracker]:
+        return self._inner.tracker
+
     def serve_rate(self) -> float:
         return self._inner.serve_rate()
 
     # -- delegation: the deferred server contract -------------------------------
+    def batching_gate(self) -> Optional[str]:
+        return self._inner.batching_gate()
+
     @property
     def supports_batching(self) -> bool:
         return self._inner.supports_batching

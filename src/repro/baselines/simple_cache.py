@@ -100,12 +100,11 @@ class SimpleCache(BaselineController):
         )
 
     # ------------------------------------------------ deferred batch path
-    @property
-    def supports_batching(self) -> bool:
+    def batching_gate(self) -> Optional[str]:
         """Hits mutate no clock-dependent state (the LRU stamp and the
         remap-cache fill are trace-order effects), so the deferred server
         applies whenever per-access event tracing is off."""
-        return not self.obs.enabled
+        return "event-tracer" if self.obs.enabled else None
 
     def make_deferred_server(self):
         """The ``(serve, flush, replay)`` deferred contract (see
@@ -159,18 +158,20 @@ class SimpleCache(BaselineController):
         stats.inc(_COMMIT_HIT_KEY)
         return (rc_miss, is_write, None, None, None, None, None)
 
-    def access_batch(self, ops, cycles: float, mlp: float) -> float:
+    def access_batch(self, ops, cycles: float, mlp: float, sink=None) -> float:
         """Replay a span of deferred hit ops against the fast channel.
 
         Mirrors the scalar :meth:`access` float accumulation operation
         for operation (``probe_lat`` is the ``+ 0.0`` spike-free device
         latency), so ``cycles`` and the channel busy state stay
-        bit-identical to the scalar path.
+        bit-identical to the scalar path. With a ``sink`` list, each op
+        appends the scalar call's ``(latency, served_fast)``.
         """
         fast = self.devices.fast
         transfer = fast.pool.transfer
         rc_lat = float(self.remap_cache.latency_cycles)
         probe_lat = fast.read_latency + 0.0
+        write_lat = fast.write_latency
         nbytes = self.geometry.cacheline_size
         now = self._now
         for op in ops:
@@ -180,7 +181,7 @@ class SimpleCache(BaselineController):
             rc_miss = op[0]
             is_write = op[1]
             now = cycles
-            if is_write:
+            if is_write and sink is None:
                 # Posted: channel occupancy only, no core-visible latency.
                 if rc_miss:
                     transfer(now, 16, True)
@@ -190,7 +191,15 @@ class SimpleCache(BaselineController):
             if rc_miss:
                 queue, tr = transfer(now, 16, True)
                 meta += (probe_lat + queue) + tr
+            if is_write:
+                # Observed posted write: the scalar latency, no stall.
+                queue, tr = transfer(now, nbytes)
+                sink.append((meta + ((write_lat + queue) + tr), True))
+                continue
             queue, tr = transfer(now, nbytes, True)
-            cycles += (meta + ((probe_lat + queue) + tr)) / mlp
+            latency = meta + ((probe_lat + queue) + tr)
+            cycles += latency / mlp
+            if sink is not None:
+                sink.append((latency, True))
         self._now = now
         return cycles

@@ -349,35 +349,45 @@ class BaryonController:
             )
         return result
     # ------------------------------------------------ deferred batch path
-    @property
-    def supports_batching(self) -> bool:
-        """May the simulator drive this controller through the deferred
-        server (:meth:`make_deferred_server`)?
+    def batching_gate(self) -> Optional[str]:
+        """Why the simulator may not drive this controller through the
+        deferred server (:meth:`make_deferred_server`), or ``None``.
 
-        Requires every per-access observer the server's inlined bodies
-        skip to be absent: fault injection (controller, remap cache,
-        devices, row buffer), recovery, the shadow checker, the phase
-        tracker, event tracing (controller, remap cache, row buffer), and
-        quarantined super-blocks all hook the scalar flow. Subclasses
-        that intercept ``access`` (the content-backed oracle) shadow this
-        property with a class attribute ``False``.
+        The reason names the first per-access hook the server's inlined
+        bodies skip: ``faults`` (injection armed on the controller, the
+        remap cache, a device or the row buffer), ``recovery``,
+        ``checker`` (the shadow checker), ``event-tracer`` (event tracing
+        on the controller, the remap cache or the row buffer) or
+        ``quarantine`` (quarantined super-blocks). The stage-phase
+        tracker is not a gate: the server makes its calls too.
+        Subclasses that intercept ``access`` (the content-backed oracle)
+        override this.
         """
         rc = self.remap_cache
         fast = self.devices.fast
         rb = fast.row_buffer
-        return (
-            self.faults is None
-            and self.recovery is None
-            and self.checker is None
-            and self.tracker is None
-            and not self.obs.enabled
-            and not self._quarantined
-            and not rc.obs.enabled
-            and rc.faults is None
-            and fast.faults is None
-            and self.devices.slow.faults is None
-            and (rb is None or (not rb.obs.enabled and rb.faults is None))
-        )
+        if (
+            self.faults is not None
+            or rc.faults is not None
+            or fast.faults is not None
+            or self.devices.slow.faults is not None
+            or (rb is not None and rb.faults is not None)
+        ):
+            return "faults"
+        if self.recovery is not None:
+            return "recovery"
+        if self.checker is not None:
+            return "checker"
+        if self.obs.enabled or rc.obs.enabled or (rb is not None and rb.obs.enabled):
+            return "event-tracer"
+        if self._quarantined:
+            return "quarantine"
+        return None
+
+    @property
+    def supports_batching(self) -> bool:
+        """May the simulator use the deferred server? (No gate applies.)"""
+        return self.batching_gate() is None
 
     def _staged_block_of(self, super_id: int, block_id: int, blk_off: int):
         """Probe-index form of :meth:`StageArea.lookup_block`.
@@ -416,7 +426,11 @@ class BaryonController:
             **no state applied** — when the access needs the scalar
             :meth:`access` (zero-encoding breaks, write overflows, the
             no-stage ablation, a broken fast-area invariant), charging
-            the reason to ``deferred_declines``.
+            the reason to ``deferred_declines``. With a stage-phase
+            tracker attached, an accepted access makes the scalar path's
+            tracker calls in the same order: ``tick``, then ``record``
+            (and ``block_staged`` after a case-5 fetch); the commit and
+            evict helpers make the ``block_unstaged`` calls.
         ``flush()``
             Traffic, case, and hit-ratio counters accumulate in closure
             locals; this scatters them into the real counter attributes
@@ -424,22 +438,27 @@ class BaryonController:
             bit-identical to per-op increments. The simulator flushes
             before any scalar ``access`` call and at the end of every
             span, so no intermediate value is ever observable.
-        ``replay(ops, cycles, mlp) -> cycles``
+        ``replay(ops, cycles, mlp, sink=None) -> cycles``
             Replays a span of op tuples (interleaved with plain floats,
             the core-side cycle increments the caller deferred) against
             the channel pools. Each op is served at the clock value the
             accumulator has reached — exactly the ``now`` the scalar loop
             would have passed to :meth:`access` — so the channel state,
             the queueing delays and the float accumulation order of
-            ``cycles`` are bit-identical to the scalar path.
+            ``cycles`` are bit-identical to the scalar path. With a
+            ``sink`` list, each op appends ``(latency, served_fast)``:
+            the ``AccessResult`` fields the scalar call would have
+            returned, posted writes included.
 
         An op is ``(rc_miss, stage_meta, dev, nbytes, array_latency,
         decomp, lines)``: ``dev`` is 0 (zero-encoded data, no device),
         1 (fast read), 2 (slow read), 3 (fast write), 4 (slow write), or
         5/6 (staging fetch on a read/write, with ``nbytes`` carrying
         ``(demand_bytes, captured_transfers)``); ``stage_meta`` selects
-        the stage-hit metadata latency rule; ``lines`` are the prefetched
-        cacheline addresses for the caller to install.
+        the stage-hit metadata latency rule; ``array_latency`` is the
+        device array latency (writes carry it for an observing replay);
+        ``lines`` are the prefetched cacheline addresses for the caller
+        to install.
 
         ``_tracer_arg`` is ignored: it absorbs the one positional
         argument perfbench/layers.py's tracer wrapper forwards.
@@ -497,6 +516,13 @@ class BaryonController:
         f_read_lat = fast.read_latency
         f_write_lat = fast.write_latency
         s_read_lat = slow.read_latency
+        s_write_lat = slow.write_latency + 0.0
+        # The stage-phase tracker gets the scalar path's calls, in order.
+        tracker = self.tracker
+        if tracker is not None:
+            tracker_tick = tracker.tick
+            tracker_record = tracker.record
+            tracker_block_staged = tracker.block_staged
         if rb is not None:
             rb_open = rb._open_rows
             rb_row_bytes = rb.row_bytes
@@ -551,6 +577,18 @@ class BaryonController:
         f_rb = f_nr = f_db = f_wb = f_nw = 0
         s_rb = s_nr = s_db = s_fb = s_wb = s_nw = 0
         rb_h = rb_m = rb_p = rb_a = 0
+
+        def track_fetch(block_id, miss_way, entry, is_write):
+            # After a staging fetch: case 3 records a stage miss, case 5
+            # marks the block staged. Case 5's record (and case 6's)
+            # counts nothing, the block being neither staged nor
+            # committed, so it is skipped.
+            if miss_way is not None:
+                tracker_record(
+                    block_id, True, entry is not None, is_write, True, False
+                )
+            else:
+                tracker_block_staged(block_id)
 
         def serve(addr, is_write):
             nonlocal t_acc, t_reads, t_writes, t_served
@@ -676,6 +714,23 @@ class BaryonController:
                     miss_way = None
 
             # ---- shared eager effects, in the scalar path's order ----
+            if tracker is not None:
+                # Accepted: tick as scalar access does. Cases 1, 2 and 4
+                # make no tracker call below, so they record here;
+                # staging fetches (case 7) record after the fetch.
+                tracker_tick()
+                if case == 1:
+                    tracker_record(
+                        block_id, True, entries_get(block_id) is not None,
+                        is_write, False, False,
+                    )
+                elif case == 2:
+                    tracker_record(
+                        block_id, block_id in stage_block, True, is_write,
+                        False, False,
+                    )
+                elif case == 4:
+                    tracker_record(block_id, False, True, is_write, True, False)
             set_index = super_id % stage_num_sets
             n = set_counts[set_index] + 1
             if n < aging_period:
@@ -738,16 +793,21 @@ class BaryonController:
                         prev = rb_open.get(bank)
                         if prev == row:
                             rb_h += 1
+                            arr = rb_cas
                         else:
                             rb_open[bank] = row
                             rb_m += 1
                             if prev is not None:
                                 rb_p += 1
+                                arr = rb_pre_lat
                             else:
                                 rb_a += 1
+                                arr = rb_act_lat
+                    else:
+                        arr = f_write_lat
                     slot.dirty = True
                     note_write(block_id, sub_idx)
-                    return (rc_miss, True, 3, cl_size, 0.0, 0.0, None)
+                    return (rc_miss, True, 3, cl_size, arr + 0.0, 0.0, None)
                 t_reads += 1
                 if zero:
                     return (rc_miss, True, 0, 0, 0.0, 0.0, None)
@@ -773,16 +833,21 @@ class BaryonController:
                         prev = rb_open.get(bank)
                         if prev == row:
                             rb_h += 1
+                            arr = rb_cas
                         else:
                             rb_open[bank] = row
                             rb_m += 1
                             if prev is not None:
                                 rb_p += 1
+                                arr = rb_pre_lat
                             else:
                                 rb_a += 1
+                                arr = rb_act_lat
+                    else:
+                        arr = f_write_lat
                     state.dirty_subs.add((blk_off, sub_idx))
                     note_write(block_id, sub_idx)
-                    return (rc_miss, False, 3, cl_size, 0.0, 0.0, None)
+                    return (rc_miss, False, 3, cl_size, arr + 0.0, 0.0, None)
                 t_reads += 1
                 if zero:
                     return (rc_miss, False, 0, 0, 0.0, 0.0, None)
@@ -794,7 +859,7 @@ class BaryonController:
                     t_writes += 1
                     s_wb += cl_size
                     s_nw += 1
-                    return (rc_miss, False, 4, cl_size, 0.0, 0.0, None)
+                    return (rc_miss, False, 4, cl_size, s_write_lat, 0.0, None)
                 t_reads += 1
                 s_rb += cl_size
                 s_nr += 1
@@ -859,6 +924,8 @@ class BaryonController:
                         demand_nb = 0  # zero block: meta-only latency
                         extras = tuple(rec_log)
                     del rec_log[:]
+                    if tracker is not None:
+                        track_fetch(block_id, miss_way, entry, is_write)
                     return (
                         rc_miss,
                         False,
@@ -997,6 +1064,8 @@ class BaryonController:
                         del rec_log[:]
                 if is_write:
                     note_write(block_id, sub_idx)
+                if tracker is not None:
+                    track_fetch(block_id, miss_way, entry, is_write)
                 return (
                     rc_miss,
                     False,
@@ -1037,7 +1106,7 @@ class BaryonController:
                     t_writes += 1
                     f_wb += cl_size
                     f_nw += 1
-                    return (rc_miss, False, 3, cl_size, 0.0, 0.0, None)
+                    return (rc_miss, False, 3, cl_size, arr + 0.0, 0.0, None)
                 t_reads += 1
                 f_rb += cl_size
                 f_nr += 1
@@ -1051,7 +1120,7 @@ class BaryonController:
                     t_writes += 1
                     s_wb += cl_size
                     s_nw += 1
-                    return (rc_miss, False, 4, cl_size, 0.0, 0.0, None)
+                    return (rc_miss, False, 4, cl_size, s_write_lat, 0.0, None)
                 t_reads += 1
                 s_rb += cl_size
                 s_nr += 1
@@ -1177,7 +1246,7 @@ class BaryonController:
         rc_lat = self._rc_lat_f
         probe_lat = fast.read_latency + 0.0
 
-        def replay(ops, cycles, mlp):
+        def replay(ops, cycles, mlp, sink=None):
             now = self._now
             for op in ops:
                 if op.__class__ is float:
@@ -1210,17 +1279,23 @@ class BaryonController:
                                 slow_transfer(now, nb, pri)
                         if dev == 5:
                             cycles += latency / mlp
+                        if sink is not None:
+                            sink.append((latency, False))
                         continue
-                    if rc_miss:
-                        fast_transfer(now, 16, True)
-                    # Posted write: evolves the channel busy state (and the
-                    # remap-table probe) but adds no core-visible latency —
-                    # the simulator never accumulates write latencies.
-                    if dev == 3:
-                        fast_transfer(now, nbytes)
-                    else:
-                        slow_transfer(now, nbytes)
-                    continue
+                    if sink is None:
+                        if rc_miss:
+                            fast_transfer(now, 16, True)
+                        # Posted write: evolves the channel busy state (and
+                        # the remap-table probe) but adds no core-visible
+                        # latency — the simulator never accumulates write
+                        # latencies.
+                        if dev == 3:
+                            fast_transfer(now, nbytes)
+                        else:
+                            slow_transfer(now, nbytes)
+                        continue
+                    # An observed posted write falls through: its latency
+                    # is computed like a read's, without the core stall.
                 if rc_miss:
                     queue, transfer = fast_transfer(now, 16, True)
                     if stage_meta:
@@ -1230,6 +1305,16 @@ class BaryonController:
                         latency = remap_lat if remap_lat > tag_lat else tag_lat
                 else:
                     latency = tag_lat if stage_meta else meta_hit
+                if dev >= 3:
+                    queue, transfer = (
+                        fast_transfer(now, nbytes)
+                        if dev == 3
+                        else slow_transfer(now, nbytes)
+                    )
+                    sink.append(
+                        (latency + ((arr + queue) + transfer), dev == 3)
+                    )
+                    continue
                 if dev:
                     queue, transfer = (
                         fast_transfer(now, nbytes, True)
@@ -1240,6 +1325,8 @@ class BaryonController:
                     if decomp:
                         latency += decomp
                 cycles += latency / mlp
+                if sink is not None:
+                    sink.append((latency, dev < 2))
             self._now = now
             return cycles
 

@@ -86,6 +86,13 @@ class StagePhaseTracker:
         for block_id in list(self._phases):
             self.block_unstaged(block_id, committed=False)
 
+    def open_phases(self) -> Dict[int, Tuple[int, List[Tuple[int, bool]]]]:
+        """Phases not yet closed: block -> (start access, events)."""
+        return {
+            block_id: (phase.start_access, list(phase.events))
+            for block_id, phase in self._phases.items()
+        }
+
     # -- access classification ----------------------------------------------------
     def record(
         self,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.devices.energy import EnergyReport
 
@@ -31,6 +31,12 @@ class SimResult:
     case_counts: Dict[str, int] = field(default_factory=dict)
     energy: EnergyReport | None = None
     extra: Dict[str, float] = field(default_factory=dict)
+    #: Which simulator loop ran (``deferred``, ``batched`` or ``scalar``)
+    #: and the first gate that kept it off the deferred server. They
+    #: describe the run, not its numbers: every loop produces the same
+    #: result, so both stay out of equality and of :meth:`to_dict`.
+    path: str = field(default="", compare=False)
+    path_gate: Optional[str] = field(default=None, compare=False)
 
     @property
     def ipc(self) -> float:
@@ -68,6 +74,7 @@ class SimResult:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-compatible snapshot; inverse of :meth:`from_dict`."""
         payload = asdict(self)
+        del payload["path"], payload["path_gate"]
         payload["energy"] = asdict(self.energy) if self.energy else None
         return payload
 

@@ -14,6 +14,15 @@ from repro.obs.spans import NULL_SPANS, SpanTracer
 from repro.sim.results import SimResult
 
 
+def _sample_due(series, ticks: int, value: float) -> None:
+    """Advance ``series`` to ``ticks``, recording ``value`` when that is
+    its due tick (as per-access ``tick`` calls would)."""
+    if ticks == series.next_due():
+        series.sample_at(ticks, value)
+    else:
+        series.advance_to(ticks)
+
+
 class SystemSimulator:
     """Runs one (controller, trace) pair and produces a :class:`SimResult`.
 
@@ -42,18 +51,28 @@ class SystemSimulator:
         operation for operation); ``tests/test_hotpath_equivalence.py``
         asserts this.
 
-    When the controller advertises ``supports_batching`` (no fault
-    injection, recovery, shadow checker, phase tracker or event tracing
-    attached) and neither profiling nor metrics are active, the batched
-    loop additionally *defers* the timing of LLC misses and writebacks
-    through the controller's one deferred contract, the
-    ``(serve, flush, replay)`` triple from ``make_deferred_server()``:
-    ``serve`` applies each access's state effects eagerly in trace order
-    and returns an op record, and ``replay`` runs the channel timing of a
-    whole span of ops in one call. An access ``serve`` declines flushes
-    the pending span and takes the scalar ``access`` call, so results —
-    cycles, counters, energy — stay bit-identical to both reference
-    loops.
+    When no gate applies, the batched loop additionally *defers* the
+    timing of LLC misses and writebacks through the controller's one
+    deferred contract, the ``(serve, flush, replay)`` triple from
+    ``make_deferred_server()``: ``serve`` applies each access's state
+    effects eagerly in trace order and returns an op record, and
+    ``replay`` runs the channel timing of a whole span of ops in one
+    call. An access ``serve`` declines flushes the pending span and takes
+    the scalar ``access`` call, so results — cycles, counters, energy —
+    stay bit-identical to both reference loops. The gates, first match
+    wins, are ``scalar`` (requested), ``profiler`` and the controller's
+    ``batching_gate()`` reason: ``faults``, ``recovery``, ``checker``,
+    ``event-tracer``, ``quarantine``, ``content-oracle``, or ``design``
+    for the baselines with no server (Unison, DICE). After :meth:`run`,
+    :attr:`path` (``deferred``, ``batched`` or ``scalar``) and
+    :attr:`path_gate` say which loop ran and why; the result carries
+    both too.
+
+    The stage-phase tracker and the metrics registry are not gates. The
+    server makes the tracker's calls itself, and an observed deferred
+    span asks ``replay`` for each op's latency, observes the demand
+    misses' latencies in trace order, and ends at each time-series
+    sample tick so that the sample sees the scalar loop's values.
 
     Observability (all optional, all free when absent):
 
@@ -101,6 +120,11 @@ class SystemSimulator:
         self._progress_every = max(1, progress_every)
         self._run_span = None
         self._deferred = False
+        #: The loop the last :meth:`run` took (``deferred``, ``batched``
+        #: or ``scalar``) and the first gate that kept it off the
+        #: deferred server (``None`` when it ran there).
+        self.path = ""
+        self.path_gate: Optional[str] = None
         self._server = None
         self._fast_path = None
         self.cycles = 0.0
@@ -136,13 +160,20 @@ class SystemSimulator:
         n = len(trace)
         warmup_end = min(n, int(n * self.config.warmup_fraction))
         # The deferred batch path needs full custody of the per-access
-        # flow: no per-access profiling/metrics hooks, and a controller
-        # with no per-access observers of its own.
-        self._deferred = (
-            not scalar
-            and not self.profiler.enabled
-            and self.metrics is None
-            and getattr(self.controller, "supports_batching", False)
+        # flow: no per-access profiler hooks, and a controller with no
+        # per-access hooks of its own. The first gate that applies names
+        # the path taken.
+        if scalar:
+            gate = "scalar"
+        elif self.profiler.enabled:
+            gate = "profiler"
+        else:
+            batching_gate = getattr(self.controller, "batching_gate", None)
+            gate = batching_gate() if batching_gate is not None else "design"
+        self.path_gate = gate
+        self._deferred = gate is None
+        self.path = (
+            "scalar" if scalar else "deferred" if gate is None else "batched"
         )
         spans = self.spans
         if spans.enabled:
@@ -337,7 +368,32 @@ class SystemSimulator:
         if start >= stop:
             return
         if self._deferred:
-            self._deferred_span(start, stop, addrs, writes, igaps, cores)
+            if self.metrics is None:
+                self._deferred_span(start, stop, addrs, writes, igaps, cores)
+                return
+            # Observed: each deferred span ends at the next series sample
+            # tick, where its final replay has made ``cycles`` and the
+            # serve counts current.
+            ts_serve = self._ts_serve
+            ts_ipc = self._ts_ipc
+            pos = start
+            while pos < stop:
+                end = min(
+                    stop,
+                    pos + ts_serve.next_due() - ts_serve.ticks,
+                    pos + ts_ipc.next_due() - ts_ipc.ticks,
+                )
+                self._deferred_span(pos, end, addrs, writes, igaps, cores)
+                mem_seen = self._mem_seen
+                _sample_due(
+                    ts_serve, ts_serve.ticks + end - pos,
+                    self._served_fast / mem_seen if mem_seen else 0.0,
+                )
+                _sample_due(
+                    ts_ipc, ts_ipc.ticks + end - pos,
+                    self.instructions / self.cycles if self.cycles else 0.0,
+                )
+                pos = end
             return
         cfg = self.config
         base_cpi = cfg.base_cpi
@@ -443,7 +499,9 @@ class SystemSimulator:
         first replays the pending ops (so ``cycles`` is current) and
         flushes the server's tallied counters, then takes the scalar
         ``controller.access`` call with that clock, exactly as the plain
-        batched loop would.
+        batched loop would. With metrics attached, every replay also
+        reports each op's latency, and the demand misses' latencies are
+        observed in trace order (see :meth:`_observe_ops`).
         """
         cfg = self.config
         base_cpi = cfg.base_cpi
@@ -458,6 +516,33 @@ class SystemSimulator:
         instructions = self.instructions
         ops = []
         append = ops.append
+        if self.metrics is None:
+            sink = None
+            append_demand = append_wb = append
+        else:
+            # Replay reports each op's (latency, served_fast) into
+            # ``sink``; ``demand`` marks which ops are demand misses (the
+            # scalar loop observes those, not writebacks).
+            sink = []
+            demand = []
+            mark = demand.append
+
+            def append_demand(op):
+                append(op)
+                mark(True)
+
+            def append_wb(op):
+                append(op)
+                mark(False)
+
+        def settle(cycles):
+            # Replay the pending ops; an observed span observes them.
+            cycles = replay(ops, cycles, mlp, sink)
+            ops.clear()
+            if sink is not None:
+                self._observe_ops(demand, sink)
+            return cycles
+
         # zip over list slices: one C-level iteration replaces four
         # per-element list index reads in the hottest Python loop.
         for addr, is_write, gap, core in zip(
@@ -486,7 +571,7 @@ class SystemSimulator:
             if outcome[2]:  # LLC miss: the controller serves it.
                 op = serve(addr, is_write)
                 if op is not None:
-                    append(op)
+                    append_demand(op)
                     pls = op[6]
                     if pls:
                         for line_addr in pls:
@@ -494,21 +579,24 @@ class SystemSimulator:
                             if wb is not None:
                                 wop = serve(wb, True)
                                 if wop is not None:
-                                    append(wop)
+                                    append_wb(wop)
                                 else:
-                                    cycles = replay(ops, cycles, mlp)
-                                    ops.clear()
+                                    cycles = settle(cycles)
                                     server_flush()
                                     ctrl_access(wb, True, cycles)
                 else:
                     if ops:
-                        cycles = replay(ops, cycles, mlp)
-                        ops.clear()
+                        cycles = settle(cycles)
                     server_flush()
                     mem = ctrl_access(addr, is_write, cycles)
                     if not is_write:
                         # Writes are posted; only reads stall the core.
                         cycles += mem.latency_cycles / mlp
+                    if sink is not None:
+                        self._h_latency.observe(mem.latency_cycles)
+                        self._mem_seen += 1
+                        if mem.served_fast:
+                            self._served_fast += 1
                     pls = mem.prefetched_lines
                     if pls:
                         for line_addr in pls:
@@ -524,20 +612,35 @@ class SystemSimulator:
                     # flushing it.
                     wop = serve(wb, True)
                     if wop is not None:
-                        append(wop)
+                        append_wb(wop)
                     else:
                         if ops:
-                            cycles = replay(ops, cycles, mlp)
-                            ops.clear()
+                            cycles = settle(cycles)
                         server_flush()
                         ctrl_access(wb, True, cycles)
         if ops:
-            cycles = replay(ops, cycles, mlp)
-            ops.clear()
+            cycles = settle(cycles)
         server_flush()
         hier_flush()
         self.cycles = cycles
         self.instructions = instructions
+
+    def _observe_ops(self, demand, sink) -> None:
+        """Observe the replayed demand ops' latencies in trace order and
+        count them into the serve rate, as the scalar loop does per
+        access; writeback ops are skipped. Clears both lists."""
+        observe = self._h_latency.observe
+        seen = served = 0
+        for is_demand, (latency, fast) in zip(demand, sink):
+            if is_demand:
+                observe(latency)
+                seen += 1
+                if fast:
+                    served += 1
+        self._mem_seen += seen
+        self._served_fast += served
+        demand.clear()
+        sink.clear()
 
     # -------------------------------------------------------- result assembly
     def _finalize(
@@ -613,6 +716,8 @@ class SystemSimulator:
             case_counts=cases,
             energy=energy,
             extra=extra,
+            path=self.path,
+            path_gate=self.path_gate,
         )
 
     def _snapshot(self) -> Dict[str, float]:

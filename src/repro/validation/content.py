@@ -80,9 +80,10 @@ class ContentBackedController(BaryonController):
     run, not a simplified model of it.
     """
 
-    #: Content tracking hooks every ``access`` call, so the deferred
-    #: batch path (which bypasses the override) must stay off.
-    supports_batching = False
+    def batching_gate(self) -> Optional[str]:
+        """Content tracking hooks every ``access`` call, so the deferred
+        batch path (which bypasses the override) must stay off."""
+        return "content-oracle"
 
     def __init__(
         self,

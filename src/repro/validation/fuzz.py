@@ -26,6 +26,7 @@ from repro.common.config import (
 )
 from repro.common.errors import OracleViolation
 from repro.common.stats import CounterGroup
+from repro.core.tracking import StagePhaseTracker
 from repro.validation.content import ContentBackedController, replay
 
 KB = 1024
@@ -317,11 +318,30 @@ def _server_replay(
     return cycles
 
 
+def _tracker_state(tracker: StagePhaseTracker) -> Dict[str, object]:
+    return {
+        "breakdown": dict(tracker.breakdown),
+        "open_phases": tracker.open_phases(),
+        # Welford mean/variance are order-sensitive floats: equal only if
+        # the same phases closed with the same miss rates, in order.
+        "bin_stats": [(s.count, s.mean, s.variance) for s in tracker.bin_stats],
+    }
+
+
 def _run_server_twin(make_controller, trace: List[TraceRecord],
-                     rng: Optional[random.Random], path: str) -> None:
-    """One scalar replay vs one deferred-server replay of fresh twins."""
-    scalar_ctrl = make_controller()
-    twin_ctrl = make_controller()
+                     rng: Optional[random.Random], path: str,
+                     tracked: bool = True) -> None:
+    """One scalar replay vs one deferred-server replay of fresh twins.
+
+    With ``tracked``, ``make_controller(tracker)`` attaches a stage-phase
+    tracker to each twin, and the server's tracker calls must leave the
+    same breakdown, open phases and bin stats as the scalar path's.
+    """
+    trackers = (
+        (StagePhaseTracker(), StagePhaseTracker()) if tracked else (None, None)
+    )
+    scalar_ctrl = make_controller(trackers[0])
+    twin_ctrl = make_controller(trackers[1])
     if not twin_ctrl.supports_batching:
         raise OracleViolation(
             f"forced {path} configuration does not support batching",
@@ -331,6 +351,16 @@ def _run_server_twin(make_controller, trace: List[TraceRecord],
     cycles = _scalar_replay(scalar_ctrl, trace, mlp)
     twin_cycles = _server_replay(twin_ctrl, trace, mlp, rng)
     _assert_twin_match(scalar_ctrl, twin_ctrl, cycles, twin_cycles, path)
+    if not tracked:
+        return
+    scalar_state = _tracker_state(trackers[0])
+    twin_state = _tracker_state(trackers[1])
+    for name, value in scalar_state.items():
+        if twin_state[name] != value:
+            raise OracleViolation(
+                f"{path} seam diverged in the stage-phase tracker's {name}",
+                kind="batched_divergence", location=f"tracker.{name}",
+            )
 
 
 def run_batched_case(
@@ -349,14 +379,17 @@ def run_batched_case(
     the ``(serve, flush, replay)`` server, under random forced flush
     boundaries when ``rng`` is given. Both must finish with
     bit-identical counters (controller, devices, remap cache) and the
-    same clock, and the twin's stage probe index must agree with its
-    scanning lookups. Raises :class:`OracleViolation`
+    same clock, their stage-phase trackers must agree (breakdown, open
+    phases, bin stats), and the twin's stage probe index must agree with
+    its scanning lookups. Raises :class:`OracleViolation`
     (``kind="batched_divergence"``) otherwise.
     """
     from repro.core import BaryonController
 
     _run_server_twin(
-        lambda: BaryonController(make_tiny_config(**config_kwargs), seed=seed),
+        lambda tracker: BaryonController(
+            make_tiny_config(**config_kwargs), seed=seed, tracker=tracker
+        ),
         trace, rng, "batched",
     )
 
@@ -378,8 +411,8 @@ def run_simple_case(
     from repro.baselines.simple_cache import SimpleCache
 
     _run_server_twin(
-        lambda: SimpleCache(make_tiny_config(**config_kwargs)),
-        trace, rng, "simple",
+        lambda _tracker: SimpleCache(make_tiny_config(**config_kwargs)),
+        trace, rng, "simple", tracked=False,
     )
 
 
@@ -400,7 +433,9 @@ def run_hybrid2_case(
     from repro.baselines.hybrid2 import Hybrid2
 
     _run_server_twin(
-        lambda: Hybrid2(make_tiny_config(**config_kwargs), seed=seed),
+        lambda tracker: Hybrid2(
+            make_tiny_config(**config_kwargs), seed=seed, tracker=tracker
+        ),
         trace, rng, "hybrid2",
     )
 

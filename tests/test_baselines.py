@@ -160,6 +160,33 @@ class TestHybrid2:
         assert h.deferred_declines is h._inner.deferred_declines
         assert len(h.make_deferred_server()) == 3
 
+    def test_tracker_reaches_the_inner_controller(self):
+        """build_controller forwards the tracker: the Fig. 3 breakdown of
+        a Hybrid2 cell is its cache section's, not silently empty."""
+        from repro.analysis.experiments import run_cell
+        from repro.core.tracking import StagePhaseTracker
+
+        from tests.conftest import make_small_sim_config
+
+        tracker = StagePhaseTracker()
+        result, h = run_cell(
+            "YCSB-B", "hybrid2", make_small_config(), make_small_sim_config(),
+            n_accesses=3000, tracker=tracker,
+        )
+        assert h._inner.tracker is tracker
+        assert h.tracker is tracker
+        assert tracker.breakdown
+        assert result.path == "deferred"
+
+    @pytest.mark.parametrize("design", ["simple", "unison", "dice"])
+    def test_tracker_rejected_without_a_stage_area(self, design):
+        from repro.analysis.experiments import build_controller
+        from repro.common.errors import ConfigurationError
+        from repro.core.tracking import StagePhaseTracker
+
+        with pytest.raises(ConfigurationError, match="stage-phase tracker"):
+            build_controller(design, make_small_config(), tracker=StagePhaseTracker())
+
     def test_fault_injection_keeps_scalar_gate(self):
         """The delegated gate inherits every inner decline condition."""
         config = dataclasses.replace(

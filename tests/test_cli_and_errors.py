@@ -40,6 +40,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "serve_rate" in out
         assert "case mix" in out
+        assert "path: deferred" in out
+        assert "deferred-seam declines" in out
+
+    def test_profiled_run_names_its_gate(self, capsys):
+        code = main(["YCSB-B", "baryon", "--accesses", "1200", "--scale", "512",
+                     "--profile"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "path: batched (gate: profiler)" in out
+        assert "deferred-seam declines" not in out
+
+    def test_report_prints_both_paths(self, capsys):
+        code = main(["report", "YCSB-B", "baryon", "--accesses", "1200",
+                     "--scale", "512", "--metrics"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "  path: batched (gate: event-tracer)" in out
+        assert "seam rerun path: deferred" in out
 
     def test_flat_run(self, capsys):
         code = main(

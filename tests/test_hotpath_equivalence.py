@@ -322,3 +322,133 @@ class TestMeasurementWindow:
         result = SystemSimulator(ctrl, sim_config).run(trace)
         assert result.llc_misses > 0
         assert result.useful_bytes == result.llc_misses * 128
+
+
+def _run_observed(design, workload, *, scalar, observed=True, n=4000, seed=1):
+    """One cell with a stage-phase tracker (designs with a stage area)
+    and a metrics registry attached; ``metrics_window`` 333 does not
+    divide the 2,048-access chunks, and the serve-rate series is
+    pre-registered with a small capacity so it decimates mid-run."""
+    from repro.core.tracking import StagePhaseTracker
+    from repro.obs.metrics import MetricsRegistry
+    from repro.workloads import build_workload
+
+    config = make_small_config()
+    trace = build_workload(
+        workload, config.layout.fast_capacity, n_accesses=n, seed=seed
+    )
+    tracker = registry = None
+    if observed:
+        if design != "simple":
+            tracker = StagePhaseTracker()
+        registry = MetricsRegistry()
+        registry.series("repro_serve_rate", every=333, capacity=3)
+    ctrl = build_controller(design, config, seed=seed, tracker=tracker)
+    if hasattr(ctrl, "oracle"):
+        trace.apply_compressibility(ctrl.oracle)
+    sim = SystemSimulator(
+        ctrl, make_small_sim_config(), metrics=registry, metrics_window=333
+    )
+    result = sim.run(trace, workload, design, scalar=scalar)
+    return result, sim, tracker, registry
+
+
+_OBSERVED_CELLS = [
+    pytest.param(design, workload, id=f"{design}-{workload}")
+    for design in ("baryon", "baryon-64b", "baryon-fa", "hybrid2", "simple")
+    for workload in ("YCSB-B", "YCSB-A")
+]
+
+
+class TestObservedDeferredEqualsScalar:
+    """The stage-phase tracker and the metrics registry ride the deferred
+    server and see exactly what they see on the scalar loop."""
+
+    @pytest.mark.parametrize("design,workload", _OBSERVED_CELLS)
+    def test_observers_bit_identical(self, design, workload):
+        ref, ref_sim, ref_tracker, ref_registry = _run_observed(
+            design, workload, scalar=True
+        )
+        fast, sim, tracker, registry = _run_observed(
+            design, workload, scalar=False
+        )
+        assert (ref_sim.path, ref_sim.path_gate) == ("scalar", "scalar")
+        assert (sim.path, sim.path_gate) == ("deferred", None)
+        assert fast == ref
+        assert fast.cycles == ref.cycles
+        assert registry.to_json() == ref_registry.to_json()
+        series = registry.get("repro_serve_rate")
+        assert series.every > 333 and series.points  # decimated mid-run
+        assert registry.get("repro_mem_latency_cycles").total > 0
+        if tracker is not None:
+            assert tracker.breakdown
+            assert tracker.breakdown == ref_tracker.breakdown
+            assert tracker.mpki_distribution() == ref_tracker.mpki_distribution()
+        plain, plain_sim, _, _ = _run_observed(
+            design, workload, scalar=False, observed=False
+        )
+        assert plain_sim.path == "deferred"
+        assert plain == fast
+        assert plain.cycles == fast.cycles
+
+
+class TestPathReporting:
+    """Results say which loop ran and which gate kept it off the server."""
+
+    def _sim(self, design="baryon", **kwargs):
+        config = make_small_config()
+        trace = _make_trace(ZipfWorkload, config, 1500, seed=4)
+        ctrl = build_controller(design, config, seed=4)
+        if hasattr(ctrl, "oracle"):
+            trace.apply_compressibility(ctrl.oracle)
+        sim = SystemSimulator(ctrl, make_small_sim_config(), **kwargs)
+        return sim, trace
+
+    def test_deferred_batched_and_scalar_paths(self):
+        from repro.obs import PhaseProfiler
+
+        sim, trace = self._sim()
+        deferred = sim.run(trace)
+        assert (sim.path, sim.path_gate) == ("deferred", None)
+        assert (deferred.path, deferred.path_gate) == ("deferred", None)
+        sim, trace = self._sim()
+        scalar = sim.run(trace, scalar=True)
+        assert (scalar.path, scalar.path_gate) == ("scalar", "scalar")
+        sim, trace = self._sim(profiler=PhaseProfiler())
+        profiled = sim.run(trace)
+        assert (profiled.path, profiled.path_gate) == ("batched", "profiler")
+        sim, trace = self._sim("unison")
+        assert sim.run(trace).path_gate == "design"
+        # The path is not part of the numbers: equality and the
+        # serialized form ignore it.
+        assert scalar == deferred == profiled
+        assert "path" not in deferred.to_dict()
+        assert "path_gate" not in deferred.to_dict()
+
+    def test_controller_gates_name_their_reason(self):
+        from repro.obs import EventTracer, attach_observability
+
+        config = make_small_config()
+        assert BaryonController(config).batching_gate() is None
+        assert build_controller("dice", config).batching_gate() == "design"
+        assert build_controller("simple", config).batching_gate() is None
+        for design in ("baryon", "hybrid2", "simple"):
+            ctrl = build_controller(design, config)
+            attach_observability(ctrl, EventTracer(capacity=16), None)
+            assert ctrl.batching_gate() == "event-tracer"
+            assert not ctrl.supports_batching
+        oracle = ContentBackedController(make_tiny_config())
+        assert oracle.batching_gate() == "content-oracle"
+        assert not oracle.supports_batching
+
+    def test_run_cell_result_carries_the_path(self):
+        from repro.analysis.experiments import run_cell
+        from repro.core.tracking import StagePhaseTracker
+        from repro.obs.metrics import MetricsRegistry
+
+        result, _ = run_cell(
+            "YCSB-B", "baryon", make_small_config(), make_small_sim_config(),
+            n_accesses=1500, tracker=StagePhaseTracker(),
+            metrics=MetricsRegistry(),
+        )
+        assert (result.path, result.path_gate) == ("deferred", None)
