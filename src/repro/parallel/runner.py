@@ -262,6 +262,10 @@ def _execute_cell(
     payload: Dict[str, Any] = {
         "index": cell.index,
         "result": result.to_dict(),
+        # Which loop ran travels beside the result: ``to_dict`` leaves it
+        # out so that result digests describe numbers only.
+        "path": result.path,
+        "path_gate": result.path_gate,
         "controller": inner.stats.as_dict(),
         "devices": devices,
         "compression": compression,
@@ -623,6 +627,8 @@ def _fold(
     for payload in payloads:
         cell = by_index[payload["index"]]
         result = SimResult.from_dict(payload["result"])
+        result.path = payload.get("path", "")
+        result.path_gate = payload.get("path_gate")
         outcome.results[cell.key] = result
         outcome.counters.merge(_group("cell", payload["controller"]))
         outcome.device_counters.merge(_group("cell", payload["devices"]))

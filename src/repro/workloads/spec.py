@@ -116,7 +116,8 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
         weights = weights / weights.sum()
         choices = rng.choice(len(names), size=n_accesses, p=weights)
 
-        # Pre-draw the streams each behaviour consumes.
+        # Pre-draw the streams each behaviour consumes: the n-th access of
+        # an episodic behaviour takes that stream's n-th address.
         addrs = np.empty(n_accesses, dtype=np.uint64)
         episodic = {
             "hot": self._episode_addrs(
@@ -134,16 +135,52 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
                 coverage=0.9,
             ),
         }
-        episodic_pos = {k: 0 for k in episodic}
         # Iterative solvers re-sweep their field arrays: the scan walks a
         # window of sweep_frac * footprint repeatedly (4 passes), then
         # shifts — giving the reuse-at-distance that makes compression's
-        # capacity gain visible, as in the real multi-sweep kernels.
+        # capacity gain visible, as in the real multi-sweep kernels. The
+        # k-th scan access is a closed form in k.
         sweep_frac = p.get("sweep_frac", 1.0)
         sweep_lines = max(1, int(lines * sweep_frac))
-        sweep_passes = 4
-        sweep_origin = 0
-        scan_pos = 0
+        sweep_period = sweep_lines * 4
+        irregular = []
+        for code, kind in enumerate(names):
+            where = np.flatnonzero(choices == code)
+            if kind == "scan":
+                k = np.arange(len(where), dtype=np.int64)
+                origin = (k // sweep_period) * sweep_lines % lines
+                addrs[where] = (origin + k % sweep_period % sweep_lines) % lines * 64
+            elif kind in episodic:
+                addrs[where] = episodic[kind][: len(where)]
+            elif kind in ("chase", "window"):
+                irregular.append(where)
+            else:  # pragma: no cover - the mix keys are static
+                raise ConfigurationError(f"unknown behaviour {kind}")
+        if irregular:
+            where = np.sort(np.concatenate(irregular))
+            chase = np.asarray(names)[choices[where]] == "chase"
+            self._chase_window_addrs(addrs, where, chase)
+        writes = rng.random(n_accesses) < p["write_fraction"]
+        lo, hi = p["igap"]
+        return Trace(
+            name=self.name,
+            addrs=addrs,
+            writes=writes,
+            igaps=rng.integers(lo, hi, n_accesses, dtype=np.uint32),
+            cores=rng.integers(0, self.cores, n_accesses).astype(np.uint16),
+            footprint_bytes=self.footprint_bytes,
+            default_profile=p["profile"],
+        )
+
+    def _chase_window_addrs(
+        self, addrs: np.ndarray, where: np.ndarray, chase: np.ndarray
+    ) -> None:
+        """Fill the chase and window positions ``where`` of ``addrs`` in
+        trace order (``chase`` flags the chase ones). Their ``rng`` draws
+        take ranges that depend on the walk's state, so these positions
+        stay one access at a time."""
+        rng = self.rng
+        lines = self.footprint_bytes // 64
         window_base = 0
         window_lines = max(64, lines // 200)
         # mcf's arcs are ~192 B structs: each chase step reads 3
@@ -160,18 +197,8 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
         # xz's dictionary matches copy sequential runs inside the window.
         window_run = 0
         window_line = 0
-        for i in range(n_accesses):
-            kind = names[choices[i]]
-            if kind == "scan":
-                addrs[i] = ((sweep_origin + scan_pos % sweep_lines) % lines) * 64
-                scan_pos += 1
-                if scan_pos >= sweep_lines * sweep_passes:
-                    scan_pos = 0
-                    sweep_origin = (sweep_origin + sweep_lines) % lines
-            elif kind in episodic:
-                addrs[i] = episodic[kind][episodic_pos[kind]]
-                episodic_pos[kind] += 1
-            elif kind == "chase":
+        for i, is_chase in zip(where.tolist(), chase.tolist()):
+            if is_chase:
                 if chase_run == 0:
                     if chase_visits_left == 0:
                         chase_seg_base = int(
@@ -185,7 +212,7 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
                 addrs[i] = (chase_line % lines) * 64
                 chase_line += 1
                 chase_run -= 1
-            elif kind == "window":
+            else:  # window
                 if i % 256 == 0:
                     window_base = int(rng.integers(0, max(1, lines - window_lines)))
                 if window_run == 0:
@@ -194,16 +221,3 @@ class SpecProxyWorkload(EpisodeMixin, TraceGenerator):
                 addrs[i] = (window_line % lines) * 64
                 window_line += 1
                 window_run -= 1
-            else:  # pragma: no cover - mix keys are validated above
-                raise ConfigurationError(f"unknown behaviour {kind}")
-        writes = rng.random(n_accesses) < p["write_fraction"]
-        lo, hi = p["igap"]
-        return Trace(
-            name=self.name,
-            addrs=addrs,
-            writes=writes,
-            igaps=rng.integers(lo, hi, n_accesses, dtype=np.uint32),
-            cores=rng.integers(0, self.cores, n_accesses).astype(np.uint16),
-            footprint_bytes=self.footprint_bytes,
-            default_profile=p["profile"],
-        )

@@ -7,6 +7,8 @@ tests, examples and as components of the SPEC/GAP/DNN/YCSB proxies.
 
 from __future__ import annotations
 
+from typing import Dict, List, Tuple
+
 import numpy as np
 
 from repro.workloads.base import Trace, TraceGenerator
@@ -91,22 +93,10 @@ def block_footprint(
     return (start + np.arange(length)) % lines_per_block
 
 
-class _Episode:
-    """One in-flight block episode: a walk over the block's footprint."""
-
-    __slots__ = ("block", "footprint", "pos", "remaining")
-
-    def __init__(self, block: int, footprint: np.ndarray, length: int, offset: int):
-        self.block = block
-        self.footprint = footprint
-        self.pos = offset
-        self.remaining = length
-
-    def next_line(self) -> int:
-        line = int(self.footprint[self.pos % len(self.footprint)])
-        self.pos += 1
-        self.remaining -= 1
-        return line
+#: Episode-index draws per numpy block. An episode ends every ~90 draws
+#: at the default sizes, so most blocks stop at an episode end; the draws
+#: past it are rolled back, which costs far less than a Python-level draw.
+_DRAW_BLOCK = 256
 
 
 class EpisodeMixin:
@@ -134,7 +124,22 @@ class EpisodeMixin:
         active: int = 24,
         revisit: float = 1.75,
     ) -> np.ndarray:
+        """``n_accesses`` line addresses from ``active`` interleaved episodes.
+
+        The stream is defined access by access: draw a slot with
+        ``rng.integers(0, active)``, emit that episode's next footprint
+        line, and replace the episode (drawing its super-block, length and
+        start offset from ``rng``) as soon as its length is used up. The
+        slot draws are made ``_DRAW_BLOCK`` at a time: numpy's bounded
+        ``integers`` consumes the bit generator identically for ``k``
+        scalar calls and one ``size=k`` call, so a block whose draws run
+        past an episode end is rolled back to its starting state and
+        redrawn up to that end. The replacement episode then draws from
+        the same point of the stream as it would access by access, and
+        the trace is the same, bit for bit.
+        """
         rng = self.rng
+        bit_generator = rng.bit_generator
         g = self.geometry
         lines_per_block = g.block_size // 64
         blocks_per_super = g.super_block_blocks
@@ -142,41 +147,88 @@ class EpisodeMixin:
         perm_stride = 2654435761 % supers or 1
         pool = _zipf_ranks(rng, supers, max(1024, n_accesses // 8), theta)
         pool_pos = 0
+        # Each super-block's walk (its hot blocks' footprints, end to end)
+        # is built once and stored as a (start, length) span of ``pieces``.
+        walks: Dict[int, Tuple[int, int]] = {}
+        pieces: List[np.ndarray] = []
+        walked = 0
 
-        def new_episode() -> _Episode:
+        def walk_span(super_id: int) -> Tuple[int, int]:
+            nonlocal walked
+            span = walks.get(super_id)
+            if span is None:
+                # A stable hot subset of the super-block's blocks (2-5 of
+                # 8), derived from the super id so residency generations
+                # repeat.
+                h = (super_id * 0x9E3779B97F4A7C15 + self.seed) & ((1 << 64) - 1)
+                n_blocks = 2 + (h >> 17) % 4
+                base = super_id * blocks_per_super
+                hot_blocks = sorted(
+                    {base + ((h >> (5 * i)) % blocks_per_super) for i in range(n_blocks)}
+                )
+                walk = np.concatenate([
+                    block * lines_per_block
+                    + block_footprint(block, lines_per_block, coverage, self.seed)
+                    for block in hot_blocks
+                ])
+                span = walks[super_id] = (walked, len(walk))
+                pieces.append(walk)
+                walked += len(walk)
+            return span
+
+        # Per slot: the episode's walk span, its next walk step (start
+        # offset plus steps taken) and the accesses it has left.
+        starts = np.empty(active, dtype=np.int64)
+        sizes = np.empty(active, dtype=np.int64)
+        steps = np.empty(active, dtype=np.int64)
+        left = np.empty(active, dtype=np.int64)
+
+        def new_episode(slot: int) -> None:
             nonlocal pool_pos, pool
             if pool_pos >= len(pool):
                 pool = _zipf_ranks(rng, supers, len(pool), theta)
                 pool_pos = 0
             super_id = (int(pool[pool_pos]) * perm_stride) % supers
             pool_pos += 1
-            # A stable hot subset of the super-block's blocks (2-5 of 8),
-            # derived from the super id so residency generations repeat.
-            h = (super_id * 0x9E3779B97F4A7C15 + self.seed) & ((1 << 64) - 1)
-            n_blocks = 2 + (h >> 17) % 4
-            base = super_id * blocks_per_super
-            hot_blocks = sorted(
-                {base + ((h >> (5 * i)) % blocks_per_super) for i in range(n_blocks)}
-            )
-            # Concatenate the blocks' line footprints into one walk.
-            walk = []
-            for block in hot_blocks:
-                footprint = block_footprint(
-                    block, lines_per_block, coverage, self.seed
-                )
-                walk.extend(block * lines_per_block + line for line in footprint)
-            walk = np.asarray(walk, dtype=np.int64)
-            length = max(2, int(rng.integers(1, int(len(walk) * revisit * 2))))
-            return _Episode(0, walk, length, int(rng.integers(0, len(walk))))
+            start, size = walk_span(super_id)
+            starts[slot] = start
+            sizes[slot] = size
+            left[slot] = max(2, int(rng.integers(1, int(size * revisit * 2))))
+            steps[slot] = int(rng.integers(0, size))
 
-        episodes = [new_episode() for _ in range(active)]
-        addrs = np.empty(n_accesses, dtype=np.uint64)
-        for i in range(n_accesses):
-            e = episodes[int(rng.integers(0, active))]
-            addrs[i] = e.next_line() * 64
-            if e.remaining <= 0:
-                episodes[episodes.index(e)] = new_episode()
-        return addrs
+        for slot in range(active):
+            new_episode(slot)
+        # Walk positions per block; the empty head keeps n_accesses=0 valid.
+        positions = [np.empty(0, dtype=np.int64)]
+        done = 0
+        while done < n_accesses:
+            count = min(_DRAW_BLOCK, n_accesses - done)
+            state = bit_generator.state
+            draws = rng.integers(0, active, size=count)
+            # How many times each draw's slot has been drawn so far in the
+            # block, counting the draw itself: its rank within its slot's
+            # group of a stable sort.
+            order = np.argsort(draws, kind="stable")
+            grouped = draws[order]
+            seen = np.empty(count, dtype=np.int64)
+            seen[order] = np.arange(1, count + 1) - np.searchsorted(grouped, grouped)
+            ends = np.flatnonzero(seen >= left[draws])
+            if ends.size and ends[0] + 1 < count:
+                # Roll back the draws past the first episode end.
+                count = int(ends[0]) + 1
+                draws = draws[:count]
+                seen = seen[:count]
+                bit_generator.state = state
+                rng.integers(0, active, size=count)
+            positions.append(starts[draws] + (steps[draws] + seen - 1) % sizes[draws])
+            taken = np.bincount(draws, minlength=active)
+            steps += taken
+            left -= taken
+            done += count
+            if ends.size:
+                new_episode(int(draws[-1]))
+        walk = np.concatenate(pieces)
+        return (walk[np.concatenate(positions)] * 64).astype(np.uint64)
 
 
 class ZipfWorkload(EpisodeMixin, TraceGenerator):

@@ -10,10 +10,12 @@ from repro.common.stats import CounterGroup
 from repro.devices.energy import EnergyReport
 from repro.parallel import (
     Cell,
+    CellExecutor,
     clear_trace_cache,
     fork_available,
     plan_cells,
     resolve_jobs,
+    run_plan,
 )
 from repro.parallel.runner import _cell_trace
 from repro.sim.results import SimResult
@@ -183,6 +185,33 @@ class TestEquivalence:
         assert serial.device_counters.as_dict() == parallel.device_counters.as_dict()
         assert serial.serve.hits == parallel.serve.hits
         assert serial.serve.total == parallel.serve.total
+
+
+class TestPathSurvivesTransport:
+    """Every cell's loop report (``SimResult.path``/``path_gate``) comes
+    home with its result, in-process and across the fork pool."""
+
+    EXPECTED = {
+        ("YCSB-B", "simple"): ("deferred", None),
+        ("YCSB-B", "baryon"): ("deferred", None),
+        ("YCSB-B", "unison"): ("batched", "design"),
+    }
+
+    def _paths(self, jobs):
+        plan = plan_cells(("YCSB-B",), tuple(d for _, d in self.EXPECTED))
+        config, sim = make_small_config(), make_small_sim_config()
+        with CellExecutor(jobs=jobs) as executor:
+            outcome = run_plan(
+                plan, config, sim, n_accesses=N_ACCESSES, executor=executor
+            )
+        return {key: (r.path, r.path_gate) for key, r in outcome.results.items()}
+
+    def test_serial(self):
+        assert self._paths(jobs=1) == self.EXPECTED
+
+    @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+    def test_pooled(self):
+        assert self._paths(jobs=2) == self.EXPECTED
 
 
 class TestShardMerging:
