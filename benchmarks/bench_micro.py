@@ -222,9 +222,9 @@ def _hotpath_breakdown(ctrl, sim, trace, workload, design):
                     acc["deferred_ops"] += 1
                 return op
 
-            def timed_replay(ops, cycles, mlp):
+            def timed_replay(ops, cycles, mlp, sink=None):
                 t0 = perf_counter()
-                out = replay(ops, cycles, mlp)
+                out = replay(ops, cycles, mlp, sink)
                 acc["batch_s"] += perf_counter() - t0
                 acc["batch_flushes"] += 1
                 return out

@@ -16,10 +16,10 @@ prediction*, embedded in-DRAM tags and a way predictor:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from collections import defaultdict
+from typing import Any, Dict, Optional, Set
 
 from repro.baselines.base import BaselineController
-from repro.cache.replacement import CacheLine, LruSet
 from repro.core.events import AccessCase, AccessResult
 
 #: Default footprint for never-seen pages: the demanded line plus the next
@@ -40,7 +40,8 @@ class UnisonCache(BaselineController):
         self.ways = layout.associativity
         self.num_sets = max(1, fast_pages // self.ways)
         self.lines_per_page = g.block_size // g.cacheline_size
-        self._sets: Dict[int, LruSet] = {}
+        #: Set index -> ``{tag: page payload}`` in LRU->MRU insertion order.
+        self._sets: Dict[int, Dict[int, Dict[str, Any]]] = defaultdict(dict)
         #: Footprint history: page id -> line-index bitmap of the last
         #: residency. The SRAM table is bounded — Baryon's evaluation
         #: scales it with the fast memory size (one entry per fast page,
@@ -49,13 +50,6 @@ class UnisonCache(BaselineController):
         self._history_capacity = max(1024, 2 * fast_pages)
         #: Way predictor: last way used per set (MRU-based prediction).
         self._predicted_way: Dict[int, int] = {}
-
-    def _set_for(self, index: int) -> LruSet:
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = LruSet(self.ways)
-            self._sets[index] = cache_set
-        return cache_set
 
     def _line_index(self, addr: int) -> int:
         return (addr % self.geometry.block_size) // self.geometry.cacheline_size
@@ -67,16 +61,16 @@ class UnisonCache(BaselineController):
         set_index = page_id % self.num_sets
         tag = page_id // self.num_sets
         line_idx = self._line_index(addr)
-        cache_set = self._set_for(set_index)
+        cache_set = self._sets[set_index]
 
-        line = cache_set.lookup(tag)
+        payload = cache_set.get(tag)
         # In-DRAM tags: the tag probe is a fast-memory access. With a
         # correct way prediction it is bundled with the data access.
         predicted = self._predicted_way.get(set_index)
         tag_probe = self.devices.fast.read(now, g.cacheline_size, demand=True)
         latency = tag_probe.total_cycles
-        if line is not None:
-            actual_way = line.payload["way"]
+        if payload is not None:
+            actual_way = payload["way"]
             if predicted is not None and predicted != actual_way:
                 # Misprediction: a second access to the right way.
                 latency += self.devices.fast.read(
@@ -84,15 +78,14 @@ class UnisonCache(BaselineController):
                 ).total_cycles
                 self.stats.inc("way_mispredictions")
             self._predicted_way[set_index] = actual_way
-
-        if line is not None:
-            cache_set.touch(line)
-            present: Set[int] = line.payload["present"]
-            touched: Set[int] = line.payload["touched"]
+            # LRU touch: re-insert the page at the MRU end.
+            cache_set[tag] = cache_set.pop(tag)
+            present: Set[int] = payload["present"]
+            touched: Set[int] = payload["touched"]
             touched.add(line_idx)
             if line_idx in present:
                 if is_write:
-                    line.payload["dirty"].add(line_idx)
+                    payload["dirty"].add(line_idx)
                     self.devices.fast.write(now, g.cacheline_size)
                 return self._count(
                     AccessResult(AccessCase.COMMIT_HIT, latency, is_write), is_write, addr
@@ -100,7 +93,7 @@ class UnisonCache(BaselineController):
             # Footprint miss: fetch the single line from slow memory.
             if is_write:
                 demand = self.devices.slow.write(now, g.cacheline_size)
-                line.payload["dirty"].add(line_idx)
+                payload["dirty"].add(line_idx)
             else:
                 demand = self.devices.slow.read(now, g.cacheline_size, demand=True)
             self.devices.fast.write(now, g.cacheline_size)
@@ -119,9 +112,9 @@ class UnisonCache(BaselineController):
             demand = self.devices.slow.read(now, g.cacheline_size, demand=True)
         latency += demand.total_cycles
         footprint = self._predict_footprint(page_id, line_idx)
-        free_way = len(cache_set.lines)
-        if cache_set.is_full():
-            free_way = self._evict(now, cache_set, set_index)
+        free_way = len(cache_set)
+        if free_way >= self.ways:
+            free_way = self._evict(now, cache_set)
         fetch_lines = len(footprint)
         extra = max(0, fetch_lines - 1) * g.cacheline_size
         if extra:
@@ -134,7 +127,7 @@ class UnisonCache(BaselineController):
             "touched": {line_idx},
             "dirty": {line_idx} if is_write else set(),
         }
-        cache_set.insert(CacheLine(tag, dirty=is_write, payload=payload))
+        cache_set[tag] = payload
         self.stats.inc("page_fills")
         self.stats.inc("footprint_fetched_lines", fetch_lines)
         return self._count(
@@ -150,10 +143,9 @@ class UnisonCache(BaselineController):
         footprint.add(line_idx)
         return footprint
 
-    def _evict(self, now: float, cache_set: LruSet, set_index: int) -> int:
+    def _evict(self, now: float, cache_set: Dict[int, Dict[str, Any]]) -> int:
         """Evict the LRU page; returns the way index it occupied."""
-        victim = cache_set.victim()
-        payload = victim.payload
+        payload = cache_set.pop(next(iter(cache_set)))
         dirty_lines = len(payload["dirty"])
         if dirty_lines:
             nbytes = dirty_lines * self.geometry.cacheline_size
@@ -170,6 +162,5 @@ class UnisonCache(BaselineController):
             # the oldest footprint record.
             self._history.pop(next(iter(self._history)))
             self.stats.inc("history_evictions")
-        cache_set.evict(victim.tag)
         self.stats.inc("evictions")
-        return victim.payload["way"]
+        return payload["way"]

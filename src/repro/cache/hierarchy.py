@@ -17,9 +17,12 @@ pass over each level's ``access_raw`` that works under any replacement
 policy and returns ``None`` for the L1-hit case, a plain tuple otherwise.
 :meth:`access` wraps it into a :class:`HierarchyResult` for the scalar
 loop. :meth:`make_fast_path` returns the closures every batched loop
-drives: the one place the LRU probe and allocate are inlined. Level hit
-counters accumulate in integers that fold into the public ``stats`` group
-lazily on read.
+drives: the one place the LRU probe and allocate are inlined, on the
+caches' plain ``{tag: dirty}`` sets (insertion order is the LRU->MRU
+order, so a hit is a pop and re-insert and the victim is the first key).
+The reference walk counts into integers that fold into the public
+``stats`` groups lazily on read; the closures tally every hierarchy and
+per-cache counter in closure integers that their ``flush`` folds back.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.cache.replacement import CacheLine
 from repro.cache.sram_cache import SetAssociativeCache
 from repro.common.config import HierarchyConfig
 from repro.common.stats import CounterGroup
@@ -154,13 +156,14 @@ class CacheHierarchy:
         ``access``/``install`` have the results and state effects of
         :meth:`access_fast` and :meth:`install_llc_fast`. This is the one
         inlined LRU walk: per-call attribute walks are hoisted into closure
-        locals, each level's probe and ``_allocate`` LRU arm are written
-        out, and the hierarchy-level hit counters are tallied in closure
-        integers; ``flush`` folds the tallies back before any
-        :attr:`stats` read. Per-cache counters stay attribute increments
-        (their owners read them lazily through their own ``stats``).
-        When any level is not plain-LRU the triple is the reference walk
-        itself: ``(access_fast, install_llc_fast, no-op)``.
+        locals, each level's ``{tag: dirty}`` probe and LRU allocate are
+        written out, and every counter the walk moves — per-cache
+        accesses, hits, misses, writebacks, evictions and installs (per
+        core for L1 and L2) and the hierarchy-level hit counters — is
+        tallied in closure integers. ``flush`` folds the tallies back; it
+        must run before any :attr:`stats` read of the hierarchy or its
+        caches. When any level is not plain-LRU the triple is the
+        reference walk itself: ``(access_fast, install_llc_fast, no-op)``.
         """
         l1s = self._l1
         l2s = self._l2
@@ -170,108 +173,74 @@ class CacheHierarchy:
         cores = self._cores
         lat_l12 = self._lat_l12
         lat_full = self._lat_full
-        l1_geom = [(c, c._line_size, c.num_sets, c._sets) for c in l1s]
-        l2_geom = [(c, c._line_size, c.num_sets, c._sets) for c in l2s]
-        llc_line = llc._line_size
-        llc_sets_n = llc.num_sets
+        # Every core's L1 (and L2) shares one geometry.
+        l1_sets = [c._sets for c in l1s]
+        l1_line, l1_nsets, l1_ways = l1s[0]._line_size, l1s[0].num_sets, l1s[0]._ways
+        l2_sets = [c._sets for c in l2s]
+        l2_line, l2_nsets, l2_ways = l2s[0]._line_size, l2s[0].num_sets, l2s[0]._ways
+        l2_raws = [c.access_raw for c in l2s]
         llc_sets = llc._sets
+        llc_line, llc_nsets, llc_ways = llc._line_size, llc.num_sets, llc._ways
         llc_raw = llc.access_raw
-        new_cache_line = CacheLine
 
-        n_l1 = n_l2 = n_llc = n_miss = n_pref = 0
+        # Per-core L1/L2 tallies: hits, misses, writebacks, evictions.
+        h1, m1, w1, e1 = ([0] * cores for _ in range(4))
+        h2, m2, w2, e2 = ([0] * cores for _ in range(4))
+        # LLC tallies: demand hits/misses, writebacks/evictions (demand
+        # and install), installs, and install calls.
+        h3 = m3 = w3 = e3 = n_inst = n_pref = 0
 
         def access(addr, is_write, core=0):
-            nonlocal n_l1, n_l2, n_llc, n_miss
-            l1, l1_line, l1_nsets, l1_sets = l1_geom[core % cores]
+            nonlocal h3, m3, w3, e3
+            c = core % cores
             line = addr // l1_line
             index = line % l1_nsets
-            cache_set = l1_sets[index]
             tag = line // l1_nsets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            l1._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                if is_write:
-                    entry.dirty = True
-                l1._n_hits += 1
-                n_l1 += 1
+            cache_set = l1_sets[c][index]
+            dirty = cache_set.pop(tag, None)
+            if dirty is not None:
+                cache_set[tag] = dirty or is_write
+                h1[c] += 1
                 return None
-            l1._n_misses += 1
-            # SetAssociativeCache._allocate (LRU arm), inlined.
-            if len(lines) >= cache_set.ways:
-                victim_tag, victim = next(iter(lines.items()))
-                if victim.dirty:
-                    l1_wb = (victim_tag * l1_nsets + index) * l1_line
-                    l1._n_writebacks += 1
-                else:
-                    l1_wb = None
-                del lines[victim_tag]
-                l1._n_evictions += 1
-                victim.tag = tag
-                victim.dirty = is_write
-                victim.payload = None
-                victim.referenced = False
-                victim.stamp = 0
-                new_line = victim
-            else:
-                l1_wb = None
-                new_line = new_cache_line(tag, dirty=is_write)
-            cache_set._clock += 1
-            new_line.counter = cache_set._clock
-            lines[tag] = new_line
+            m1[c] += 1
+            l1_wb = None
+            if len(cache_set) >= l1_ways:
+                victim = next(iter(cache_set))
+                e1[c] += 1
+                if cache_set.pop(victim):
+                    l1_wb = (victim * l1_nsets + index) * l1_line
+                    w1[c] += 1
+            cache_set[tag] = is_write
 
+            # Demand probe at L2: read-only under NINE, so a hit keeps
+            # the line's dirty bit as it is.
             writebacks = None
-            l2, l2_line, l2_nsets, l2_sets = l2_geom[core % cores]
             line = addr // l2_line
             index = line % l2_nsets
-            cache_set = l2_sets[index]
             tag = line // l2_nsets
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            l2._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                l2._n_hits += 1
-                hit2 = True
-                l2_wb = None
+            cache_set = l2_sets[c][index]
+            l2_dirty = cache_set.pop(tag, None)
+            l2_wb = None
+            if l2_dirty is not None:
+                cache_set[tag] = l2_dirty
+                h2[c] += 1
             else:
-                l2._n_misses += 1
-                hit2 = False
-                if len(lines) >= cache_set.ways:
-                    victim_tag, victim = next(iter(lines.items()))
-                    if victim.dirty:
-                        l2_wb = (victim_tag * l2_nsets + index) * l2_line
-                        l2._n_writebacks += 1
-                    else:
-                        l2_wb = None
-                    del lines[victim_tag]
-                    l2._n_evictions += 1
-                    victim.tag = tag
-                    victim.dirty = False
-                    victim.payload = None
-                    victim.referenced = False
-                    victim.stamp = 0
-                    new_line = victim
-                else:
-                    l2_wb = None
-                    new_line = new_cache_line(tag)
-                cache_set._clock += 1
-                new_line.counter = cache_set._clock
-                lines[tag] = new_line
+                m2[c] += 1
+                if len(cache_set) >= l2_ways:
+                    victim = next(iter(cache_set))
+                    e2[c] += 1
+                    if cache_set.pop(victim):
+                        l2_wb = (victim * l2_nsets + index) * l2_line
+                        w2[c] += 1
+                cache_set[tag] = False
             if l1_wb is not None:
                 # Dirty L1 victim lands in L2 (write-allocate at L2).
-                _, spill, _ = l2.access_raw(l1_wb, True)
+                _, spill, _ = l2_raws[c](l1_wb, True)
                 if spill is not None:
                     _, llc_wb, _ = llc_raw(spill, True)
                     if llc_wb is not None:
                         writebacks = [llc_wb]
-            if hit2:
-                n_l2 += 1
+            if l2_dirty is not None:
                 # Dirtiness is tracked at L1; the L2 copy stays clean.
                 return ("L2", lat_l12, False, writebacks)
             if l2_wb is not None:
@@ -283,103 +252,69 @@ class CacheHierarchy:
                         writebacks.append(llc_wb)
 
             line = addr // llc_line
-            index = line % llc_sets_n
+            index = line % llc_nsets
+            tag = line // llc_nsets
             cache_set = llc_sets[index]
-            tag = line // llc_sets_n
-            lines = cache_set.lines
-            entry = lines.get(tag)
-            llc._n_accesses += 1
-            if entry is not None:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-                llc._n_hits += 1
-                hit3 = True
-                llc_wb = None
-            else:
-                llc._n_misses += 1
-                hit3 = False
-                if len(lines) >= cache_set.ways:
-                    victim_tag, victim = next(iter(lines.items()))
-                    if victim.dirty:
-                        llc_wb = (victim_tag * llc_sets_n + index) * llc_line
-                        llc._n_writebacks += 1
-                    else:
-                        llc_wb = None
-                    del lines[victim_tag]
-                    llc._n_evictions += 1
-                    victim.tag = tag
-                    victim.dirty = False
-                    victim.payload = None
-                    victim.referenced = False
-                    victim.stamp = 0
-                    new_line = victim
-                else:
-                    llc_wb = None
-                    new_line = new_cache_line(tag)
-                cache_set._clock += 1
-                new_line.counter = cache_set._clock
-                lines[tag] = new_line
-            if llc_wb is not None:
-                if writebacks is None:
-                    writebacks = [llc_wb]
-                else:
-                    writebacks.append(llc_wb)
-            if hit3:
-                n_llc += 1
+            dirty = cache_set.pop(tag, None)
+            if dirty is not None:
+                cache_set[tag] = dirty
+                h3 += 1
                 return ("LLC", lat_full, False, writebacks)
-            n_miss += 1
+            m3 += 1
+            if len(cache_set) >= llc_ways:
+                victim = next(iter(cache_set))
+                e3 += 1
+                if cache_set.pop(victim):
+                    w3 += 1
+                    llc_wb = (victim * llc_nsets + index) * llc_line
+                    if writebacks is None:
+                        writebacks = [llc_wb]
+                    else:
+                        writebacks.append(llc_wb)
+            cache_set[tag] = False
             return ("MEM", lat_full, True, writebacks)
 
         def install(addr):
-            # install_raw with the LRU allocate arm inlined.
-            nonlocal n_pref
+            # install_raw with the LRU allocate inlined.
+            nonlocal w3, e3, n_inst, n_pref
             n_pref += 1
             line = addr // llc_line
-            index = line % llc_sets_n
+            index = line % llc_nsets
+            tag = line // llc_nsets
             cache_set = llc_sets[index]
-            tag = line // llc_sets_n
-            lines = cache_set.lines
-            if lines.get(tag) is not None:
+            if tag in cache_set:
                 return None
-            llc._n_installs += 1
-            if len(lines) >= cache_set.ways:
-                victim_tag, victim = next(iter(lines.items()))
-                if victim.dirty:
-                    wb = (victim_tag * llc_sets_n + index) * llc_line
-                    llc._n_writebacks += 1
-                else:
-                    wb = None
-                del lines[victim_tag]
-                llc._n_evictions += 1
-                victim.tag = tag
-                victim.dirty = False
-                victim.payload = None
-                victim.referenced = False
-                victim.stamp = 0
-                new_line = victim
-            else:
-                wb = None
-                new_line = new_cache_line(tag)
-            cache_set._clock += 1
-            new_line.counter = cache_set._clock
-            lines[tag] = new_line
+            n_inst += 1
+            wb = None
+            if len(cache_set) >= llc_ways:
+                victim = next(iter(cache_set))
+                e3 += 1
+                if cache_set.pop(victim):
+                    wb = (victim * llc_nsets + index) * llc_line
+                    w3 += 1
+            cache_set[tag] = False
             return wb
 
         def flush():
-            nonlocal n_l1, n_l2, n_llc, n_miss, n_pref
-            self._n_l1_hits += n_l1
-            self._n_l2_hits += n_l2
-            self._n_llc_hits += n_llc
-            self._n_llc_misses += n_miss
+            nonlocal h3, m3, w3, e3, n_inst, n_pref
+            for c in range(cores):
+                l1s[c].credit(h1[c], m1[c], w1[c], e1[c])
+                l2s[c].credit(h2[c], m2[c], w2[c], e2[c])
+            llc.credit(h3, m3, w3, e3, n_inst)
+            self._n_l1_hits += sum(h1)
+            self._n_l2_hits += sum(h2)
+            self._n_llc_hits += h3
+            self._n_llc_misses += m3
             self._n_prefetch_installs += n_pref
-            n_l1 = n_l2 = n_llc = n_miss = n_pref = 0
+            for tally in (h1, m1, w1, e1, h2, m2, w2, e2):
+                tally[:] = [0] * cores
+            h3 = m3 = w3 = e3 = n_inst = n_pref = 0
 
         return access, install, flush
 
     def install_llc_fast(self, addr: int) -> Optional[int]:
         """Install a prefetched line into the LLC; returns the dirty
-        writeback address, if any (allocation-free form)."""
+        writeback address, if any."""
         writeback = self.llc.install_raw(addr)
         self._n_prefetch_installs += 1
         return writeback

@@ -67,12 +67,17 @@ class BaseSet:
 class LruSet(BaseSet):
     """Least-recently-used via a monotonic timestamp per line.
 
-    The ``lines`` dict doubles as the recency order (Python dicts preserve
-    insertion order): ``touch`` re-inserts the line at the tail, so the
-    head is always the least-recently-used entry and ``victim`` is O(1)
-    instead of an O(ways) minimum scan. Timestamps are unique and strictly
-    increasing, so dict order and counter order agree and the O(1) victim
-    is exactly the line the counter scan used to pick.
+    The reference LRU policy object. The simulator's own LRU structures
+    (the SRAM hierarchy, the remap cache, the Simple and Unison block
+    sets) keep each set as a plain ``{tag: value}`` dict in LRU->MRU
+    insertion order instead; ``tests/test_lru_oracle.py`` checks them
+    against this class.
+
+    ``touch`` stamps the line from the set clock and re-inserts it at
+    the tail of ``lines``, so the head is always the least-recently-used
+    entry and ``victim`` is O(1). Timestamps are unique and strictly
+    increasing, so dict order and counter order agree and the O(1)
+    victim is exactly the line a minimum-stamp scan would pick.
     """
 
     def __init__(self, ways: int) -> None:

@@ -6,13 +6,14 @@ be written back — the two facts the next level down needs. It also supports
 :meth:`install` for prefetch-style fills that bypass the demand path (the
 memory-to-LLC install of decompressed neighbour cachelines, Sec. III-E).
 
-Hot-path engineering: the per-access work runs through
+Hot-path engineering: an LRU set is a plain ``{tag: dirty}`` dict whose
+insertion order is the LRU->MRU order; the per-access work runs through
 :meth:`access_raw`, which returns a plain tuple instead of allocating an
 :class:`AccessOutcome`, and event counts accumulate in plain integer
 attributes that are folded into the public ``stats``
-:class:`~repro.common.stats.CounterGroup` lazily on read. Counter values
-observed through ``stats`` are exact at any point — only the dictionary
-update is deferred.
+:class:`~repro.common.stats.CounterGroup` lazily on read. Counts tallied
+by the hierarchy's inlined walk arrive through :meth:`credit` when that
+walk flushes; everything else is exact at any observation point.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.cache.replacement import BaseSet, CacheLine, make_set
+from repro.cache.replacement import CacheLine, make_set
 from repro.common.config import CacheGeometry
 from repro.common.stats import CounterGroup
 
@@ -49,14 +50,18 @@ class SetAssociativeCache:
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
         self.num_sets = geometry.num_sets
-        self._sets: List[BaseSet] = [
-            make_set(geometry.replacement, geometry.ways) for _ in range(self.num_sets)
+        self._ways = geometry.ways
+        # LRU dominates the hierarchy configs: each LRU set is a plain
+        # ``{tag: dirty}`` dict whose insertion order is the LRU->MRU
+        # order (a hit re-inserts its tag; the victim is the first key).
+        # The other policies keep their :func:`make_set` objects.
+        self._is_lru = geometry.replacement == "lru"
+        self._sets: List = [
+            {} if self._is_lru else make_set(geometry.replacement, geometry.ways)
+            for _ in range(self.num_sets)
         ]
         self._stats = CounterGroup(geometry.name)
         self._line_size = geometry.line_size
-        # LRU dominates the hierarchy configs; its touch/victim/insert are
-        # inlined on the hot path (same state transitions as LruSet's).
-        self._is_lru = geometry.replacement == "lru"
         # Deferred counters, folded into ``_stats`` on read.
         self._n_accesses = 0
         self._n_hits = 0
@@ -88,6 +93,19 @@ class SetAssociativeCache:
             self._n_evictions = 0
         return self._stats
 
+    def credit(
+        self, hits: int, misses: int, writebacks: int, evictions: int,
+        installs: int = 0,
+    ) -> None:
+        """Fold counts tallied by an externally inlined walk (see
+        :meth:`~repro.cache.hierarchy.CacheHierarchy.make_fast_path`)."""
+        self._n_accesses += hits + misses
+        self._n_hits += hits
+        self._n_misses += misses
+        self._n_writebacks += writebacks
+        self._n_evictions += evictions
+        self._n_installs += installs
+
     # -- address math -----------------------------------------------------
     def _index_tag(self, addr: int) -> tuple[int, int]:
         line = addr // self._line_size
@@ -109,20 +127,21 @@ class SetAssociativeCache:
         index = line % self.num_sets
         cache_set = self._sets[index]
         tag = line // self.num_sets
-        lines = cache_set.lines
-        entry = lines.get(tag)
         self._n_accesses += 1
-        if entry is not None:
-            if self._is_lru:
-                cache_set._clock += 1
-                entry.counter = cache_set._clock
-                lines[tag] = lines.pop(tag)
-            else:
+        if self._is_lru:
+            dirty = cache_set.pop(tag, None)
+            if dirty is not None:
+                cache_set[tag] = dirty or is_write
+                self._n_hits += 1
+                return True, None, None
+        else:
+            entry = cache_set.lines.get(tag)
+            if entry is not None:
                 cache_set.touch(entry)
-            if is_write:
-                entry.dirty = True
-            self._n_hits += 1
-            return True, None, None
+                if is_write:
+                    entry.dirty = True
+                self._n_hits += 1
+                return True, None, None
         self._n_misses += 1
         writeback, victim = self._allocate(cache_set, index, tag, is_write)
         return False, writeback, victim
@@ -139,69 +158,54 @@ class SetAssociativeCache:
 
         A no-op when the line is already resident (returns None).
         """
-        index, tag = self._index_tag(addr)
-        cache_set = self._sets[index]
-        if cache_set.lines.get(tag) is not None:
-            return None
-        self._n_installs += 1
-        writeback, _ = self._allocate(cache_set, index, tag, dirty)
-        return writeback
+        return self.install(addr, dirty).writeback_addr
 
     def install(self, addr: int, dirty: bool = False) -> AccessOutcome:
         """Fill a line without a demand access (prefetch install).
 
         A no-op when the line is already resident.
         """
-        index, tag = self._index_tag(addr)
-        cache_set = self._sets[index]
-        if cache_set.lines.get(tag) is not None:
+        if self.contains(addr):
             return _HIT
+        index, tag = self._index_tag(addr)
         self._n_installs += 1
-        writeback, victim = self._allocate(cache_set, index, tag, dirty)
+        writeback, victim = self._allocate(self._sets[index], index, tag, dirty)
         return AccessOutcome(hit=False, writeback_addr=writeback, victim_addr=victim)
 
     def contains(self, addr: int) -> bool:
         index, tag = self._index_tag(addr)
-        return self._sets[index].lookup(tag) is not None
+        cache_set = self._sets[index]
+        if self._is_lru:
+            return tag in cache_set
+        return tag in cache_set.lines
 
     def invalidate(self, addr: int) -> Optional[int]:
         """Drop a line if present; returns its address when it was dirty."""
         index, tag = self._index_tag(addr)
-        line = self._sets[index].invalidate(tag)
-        if line is not None and line.dirty:
-            return self._addr_of(index, tag)
-        return None
+        cache_set = self._sets[index]
+        if self._is_lru:
+            dirty = cache_set.pop(tag, None)
+        else:
+            line = cache_set.invalidate(tag)
+            dirty = line is not None and line.dirty
+        return self._addr_of(index, tag) if dirty else None
 
     def _allocate(
-        self, cache_set: BaseSet, index: int, tag: int, dirty: bool
+        self, cache_set, index: int, tag: int, dirty: bool
     ) -> tuple[Optional[int], Optional[int]]:
         writeback = None
         victim_addr = None
-        lines = cache_set.lines
         if self._is_lru:
-            if len(lines) >= cache_set.ways:
-                victim_tag, victim = next(iter(lines.items()))
-                victim_addr = (victim_tag * self.num_sets + index) * self._line_size
-                if victim.dirty:
+            if len(cache_set) >= self._ways:
+                victim_tag = next(iter(cache_set))
+                victim_addr = self._addr_of(index, victim_tag)
+                if cache_set.pop(victim_tag):
                     writeback = victim_addr
                     self._n_writebacks += 1
-                del lines[victim_tag]
                 self._n_evictions += 1
-                # Recycle the evicted line object: reset every field
-                # CacheLine.__init__ would set, skipping the allocation.
-                victim.tag = tag
-                victim.dirty = dirty
-                victim.payload = None
-                victim.referenced = False
-                victim.stamp = 0
-                line = victim
-            else:
-                line = CacheLine(tag, dirty=dirty)
-            cache_set._clock += 1
-            line.counter = cache_set._clock
-            lines[tag] = line
+            cache_set[tag] = dirty
             return writeback, victim_addr
-        if len(lines) >= cache_set.ways:
+        if cache_set.is_full():
             victim = cache_set.victim()
             victim_addr = self._addr_of(index, victim.tag)
             if victim.dirty:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.replacement import CacheLine
 from repro.common.config import BaryonConfig
 from repro.common.errors import CorruptionError, SimulationError, TransientDeviceError
 from repro.common.stats import CounterGroup
@@ -496,7 +495,7 @@ class BaryonController:
         lines_per_sub = self.geometry.cachelines_per_sub_block
         # Remap-cache inline-probe contract: see RemapCache.probe_state
         # for the transitions the probe below must preserve.
-        rc_sets, rc_num_sets, _ = rc.probe_state()
+        rc_sets, rc_num_sets, rc_ways = rc.probe_state()
         rc_credit = rc.credit_probes
         fa_blocks = fa.blocks
         fa_num_sets = fa.num_sets
@@ -738,32 +737,22 @@ class BaryonController:
             else:
                 set_counts[set_index] = 0
                 age_set(set_index)
-            rci = super_id % rc_num_sets
+            rc_set = rc_sets[super_id % rc_num_sets]
             rc_tag = super_id // rc_num_sets
-            rc_set = rc_sets[rci]
-            rc_lines = rc_set.lines
-            rc_line = rc_lines.get(rc_tag)
             rc_total += 1
-            if rc_line is not None:
-                rc_hit_t += 1
-                rc_set._clock += 1
-                rc_line.counter = rc_set._clock
-                rc_lines[rc_tag] = rc_lines.pop(rc_tag)
-                rc_miss = False
-            else:
+            rc_miss = not rc_set.pop(rc_tag, False)
+            rc_set[rc_tag] = True
+            if rc_miss:
                 rc_nm += 1
-                if len(rc_lines) >= rc_set.ways:
-                    del rc_lines[next(iter(rc_lines))]
+                if len(rc_set) > rc_ways:
+                    del rc_set[next(iter(rc_set))]
                     rc_ne += 1
-                rc_line = CacheLine(rc_tag)
-                rc_set._clock += 1
-                rc_line.counter = rc_set._clock
-                rc_lines[rc_tag] = rc_line
-                rc_miss = True
                 f_rb += 16
                 f_nr += 1
                 f_db += 16
                 tbl_reads += 1
+            else:
+                rc_hit_t += 1
 
             if case == 1:
                 # Stage hit: exact-rank LRU promote, then serve. Ranks are

@@ -13,9 +13,8 @@ matching Table I, with >90% typical hit rates as the paper reports.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
-from repro.cache.replacement import CacheLine, LruSet
 from repro.common.errors import CorruptionError
 from repro.common.stats import CounterGroup, RatioStat
 from repro.obs.tracer import NULL_TRACER
@@ -35,7 +34,8 @@ class RemapCache:
         self.ways = ways
         self.entries_per_line = entries_per_line
         self.latency_cycles = latency_cycles
-        self._sets: List[LruSet] = [LruSet(ways) for _ in range(num_sets)]
+        #: One ``{tag: True}`` dict per set, in LRU->MRU insertion order.
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(num_sets)]
         self._stats = CounterGroup("remap_cache")
         # Deferred per-probe counters, folded into ``stats`` on read.
         self._n_hits = 0
@@ -79,55 +79,50 @@ class RemapCache:
                 set_index=super_block_id % self.num_sets,
                 block_id=super_block_id,
             )
-        index = super_block_id % self.num_sets
+        cache_set = self._sets[super_block_id % self.num_sets]
         tag = super_block_id // self.num_sets
-        cache_set = self._sets[index]
-        lines = cache_set.lines
-        line = lines.get(tag)
-        hit = line is not None
+        hit = cache_set.pop(tag, False)
         ratio = self.hit_ratio
         ratio.total += 1
         if self.obs.enabled:
             self.obs.emit("remap_cache", super=super_block_id, hit=hit)
         if hit:
             ratio.hits += 1
-            # LRU touch inlined (same transitions as LruSet.touch).
-            cache_set._clock += 1
-            line.counter = cache_set._clock
-            lines[tag] = lines.pop(tag)
+            cache_set[tag] = True
             self._n_hits += 1
         else:
-            self._n_misses += 1
-            if len(lines) >= cache_set.ways:
-                victim_tag = next(iter(lines))
-                del lines[victim_tag]
-                self._n_evictions += 1
-            line = CacheLine(tag)
-            cache_set._clock += 1
-            line.counter = cache_set._clock
-            lines[tag] = line
+            self._fill(cache_set, tag)
         return hit
+
+    def _fill(self, cache_set: Dict[int, bool], tag: int) -> None:
+        """Miss: install ``tag`` at MRU, evicting the LRU line if full."""
+        self._n_misses += 1
+        cache_set[tag] = True
+        if len(cache_set) > self.ways:
+            del cache_set[next(iter(cache_set))]
+            self._n_evictions += 1
 
     def probe_state(self):
         """Bindings for an externally inlined probe loop.
 
-        The deferred-batch server inlines :meth:`access` (minus faults
-        and tracing, which disable batching altogether) and needs the
-        cache's mutable internals hoisted once per run. Returns
-        ``(sets, num_sets, hit_ratio)``. An inline probe must preserve
-        this class's transitions exactly:
+        The deferred servers of Baryon and Simple inline :meth:`access`
+        (minus faults and tracing, which disable batching altogether)
+        and hoist the cache's state once. Returns
+        ``(sets, num_sets, ways)``: ``sets[sid % num_sets]`` is a plain
+        dict of resident tags (``sid // num_sets``, value always
+        ``True``) whose insertion order is the LRU->MRU order. An inline
+        probe must preserve this class's transitions exactly:
 
-        * hit — bump the set ``_clock``, stamp ``line.counter``, and
-          re-insert the tag (``lines[tag] = lines.pop(tag)``) so dict
-          order stays LRU→MRU;
-        * miss at capacity — evict ``next(iter(lines))`` (the LRU);
-        * fill — fresh ``CacheLine(tag)`` stamped from the set clock.
+        * hit — ``sets_i.pop(tag, False)`` is true; re-insert the tag
+          (``sets_i[tag] = True``) so it becomes the MRU;
+        * miss — insert the tag, then, when the set now holds more than
+          ``ways`` tags, delete ``next(iter(sets_i))`` (the LRU).
 
         Hit/miss/eviction outcomes must be tallied by the caller and
         folded back through :meth:`credit_probes` before anything reads
         ``stats`` or ``hit_ratio``.
         """
-        return self._sets, self.num_sets, self.hit_ratio
+        return self._sets, self.num_sets, self.ways
 
     def credit_probes(
         self, total: int, hits: int, misses: int, evictions: int
@@ -147,40 +142,29 @@ class RemapCache:
 
     def contains(self, super_block_id: int) -> bool:
         index, tag = self._split(super_block_id)
-        return self._sets[index].lookup(tag) is not None
+        return tag in self._sets[index]
 
     def invalidate(self, super_block_id: int) -> None:
         index, tag = self._split(super_block_id)
-        self._sets[index].invalidate(tag)
+        self._sets[index].pop(tag, None)
 
     def repair(self, super_block_id: int) -> bool:
         """Drop and refill one (corrupted) line in a single pass.
 
         Fuses the old ``invalidate`` + fault-paused ``access`` repair
-        sequence: the set index and tag are split once and the refill
-        sizes the set from its line dict instead of re-probing it.
-        Draw-for-draw identical to the two-step sequence — a paused
-        access never consults the fault injector, the dropped line makes
-        the refill an unconditional miss, and all hit/miss/eviction
-        accounting matches a plain missing probe. Returns ``False``: the
-        access now pays the off-chip table probe, as any miss would.
+        sequence: draw-for-draw identical to it — a paused access never
+        consults the fault injector, the dropped line makes the refill
+        an unconditional miss, and all hit/miss/eviction accounting
+        matches a plain missing probe. Returns ``False``: the access now
+        pays the off-chip table probe, as any miss would.
         """
-        index = super_block_id % self.num_sets
-        tag = super_block_id // self.num_sets
+        index, tag = self._split(super_block_id)
         cache_set = self._sets[index]
-        lines = cache_set.lines
-        lines.pop(tag, None)
+        cache_set.pop(tag, None)
         self.hit_ratio.total += 1
         if self.obs.enabled:
             self.obs.emit("remap_cache", super=super_block_id, hit=False)
-        self._n_misses += 1
-        if len(lines) >= cache_set.ways:
-            del lines[next(iter(lines))]
-            self._n_evictions += 1
-        line = CacheLine(tag)
-        cache_set._clock += 1
-        line.counter = cache_set._clock
-        lines[tag] = line
+        self._fill(cache_set, tag)
         return False
 
     def storage_bytes(self, entry_bytes: int = 2, tag_bytes: int = 4) -> int:
